@@ -3,22 +3,21 @@ Alcoved slices of the hypersimplex and the Lam-Postnikov permutation
 count for their normalized volumes.
 
 An AlcovedSpec records a hypersimplex Delta(level_k, ambient_n) together
-with integer lower/upper bounds on consecutive coordinate sums
-x_{i+1} + ... + x_j.  Its normalized volume equals the number of
-permutations w in S_{ambient_n - 1} with level_k - 1 descents whose
-subwords w_i ... w_j (with the convention w_0 = 0) respect the bounds
-as descent-count conditions, with tie-breaking comparisons of w_i
-against w_j at exact equality.
+with integer lower/upper bounds on prefix sums x_1 + ... + x_j.  Its
+normalized volume equals the number of permutations w in
+S_{ambient_n - 1} with level_k - 1 descents whose prefixes w_1 ... w_j
+respect the bounds as descent-count conditions (Lam-Postnikov, with the
+convention w_0 = 0).
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import ScaleCapError
-from .orbit import DEFAULT_FACTORIAL_CAP, _census_by_statistic, _descents, \
-    _exceedance_positions_of_perm
+from .paths import exceedance_positions, path_from_word
+from .permcore import DEFAULT_FACTORIAL_CAP, descent_word_census
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,8 @@ class AlcovedSpec:
         for bd in self.bounds:
             if not 0 <= bd.i < bd.j <= self.ambient_n:
                 raise ValueError(f"bound indices out of range: {bd}")
+            if bd.i != 0 and not bd.box:
+                raise ValueError(f"only prefix-anchored bounds (i = 0) are supported: {bd}")
             if bd.lower is not None and bd.upper is not None and bd.lower > bd.upper:
                 raise ValueError(f"empty bound: {bd}")
 
@@ -107,51 +108,34 @@ def spec_for_P2n_flipped(n: int, flipped: Iterable[int]) -> AlcovedSpec:
                        bounds=_box_bounds(ambient) + prefix)
 
 
-def _bound_conditions_hold(w: Sequence[int], bounds: Sequence[Bound]) -> bool:
-    """Lam-Postnikov descent conditions on the subwords w_i..w_j, w_0 = 0."""
+def _bound_conditions_hold(word: Sequence[int], bounds: Sequence[Bound]) -> bool:
+    """
+    Lam-Postnikov conditions read off the ad-word of w.  With w_0 = 0 the
+    tie-break at equality always admits the lower side and rejects the
+    upper side, so each bound reduces to b <= des(w_1..w_j) < c.
+    """
     for bd in bounds:
         if bd.box:
             continue
-        if bd.i == 0:
-            word = (0,) + tuple(w[: bd.j])
-        else:
-            word = tuple(w[bd.i - 1: bd.j])
-        d = _descents(word)
-        if bd.lower is not None:
-            if d < bd.lower:
-                return False
-            if d == bd.lower and not word[0] < word[-1]:
-                return False
-        if bd.upper is not None:
-            if d > bd.upper:
-                return False
-            if d == bd.upper and not word[0] > word[-1]:
-                return False
+        d = sum(word[: bd.j - 1])
+        if bd.lower is not None and d < bd.lower:
+            return False
+        if bd.upper is not None and d >= bd.upper:
+            return False
     return True
 
 
-def w_set_count(
-    spec: AlcovedSpec,
-    cap: int = DEFAULT_FACTORIAL_CAP,
-    threads: int = 1,
-) -> int:
+def w_set_count(spec: AlcovedSpec, cap: int = DEFAULT_FACTORIAL_CAP) -> int:
     """
     |W(k, n, b, c)|: permutations of [ambient_n - 1] with level_k - 1
     descents meeting every bound condition.  Equals the normalized
     volume of the alcoved polytope.
     """
-    m = spec.ambient_n - 1
-    if m > cap:
-        raise ScaleCapError(
-            f"counting over S_{m} exceeds the cap of S_{cap}"
-        )
-    counts = _census_by_statistic(
-        m,
-        spec.level_k - 1,
-        lambda w: _bound_conditions_hold(w, spec.bounds),
-        threads,
+    census = descent_word_census(spec.ambient_n - 1, spec.level_k - 1, cap)
+    return sum(
+        count for word, count in census.items()
+        if _bound_conditions_hold(word, spec.bounds)
     )
-    return counts.get(True, 0)
 
 
 def all_subsets(n: int) -> list[tuple[int, ...]]:
@@ -171,7 +155,6 @@ def subset_key(T: Iterable[int]) -> str:
 def exceedance_position_census(
     n: int,
     cap: int = DEFAULT_FACTORIAL_CAP,
-    threads: int = 1,
 ) -> dict[tuple[int, ...], int]:
     """
     For each T subset of {1..n}: count w in S_{2n+1} with n descents whose
@@ -180,14 +163,9 @@ def exceedance_position_census(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = 2 * n + 1
-    if m > cap:
-        raise ScaleCapError(f"census over S_{m} exceeds the cap of S_{cap}")
-    counts = _census_by_statistic(
-        m, n, _exceedance_positions_of_perm, threads
-    )
-    census = {}
-    for T in all_subsets(n):
-        positions = tuple(t - 1 for t in T)
-        census[T] = counts.get(positions, 0)
-    return census
+    counts: Counter = Counter()
+    for word, count in descent_word_census(2 * n + 1, n, cap).items():
+        counts[exceedance_positions(path_from_word(word))] += count
+    return {
+        T: counts.get(frozenset(t - 1 for t in T), 0) for T in all_subsets(n)
+    }

@@ -1,10 +1,10 @@
 """
 Command-line front end.
 
-Exit codes: 0 success, 1 a verification identity failed, 2 bad
-arguments or malformed input, 3 scale-cap refusal.  All results go to
-stdout, diagnostics to stderr; identical invocations (any thread count)
-produce byte-identical output.
+Exit codes: 0 success, 1 a verification identity or an internal
+invariant failed, 2 bad arguments or malformed input, 3 scale-cap
+refusal.  All results go to stdout, diagnostics to stderr; identical
+invocations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import alcoved, geometry, numbers, orbit
 from .errors import ScaleCapError
-from .permcore import as_permutation
+from .permcore import DEFAULT_FACTORIAL_CAP, as_permutation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -52,15 +52,21 @@ def render_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _format_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--max-factorial-cap", type=int, default=orbit.DEFAULT_FACTORIAL_CAP,
-                        help="largest S_m allowed for exhaustive enumeration")
+    return parser
+
+
+def _caps_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--max-factorial-cap", type=int, default=DEFAULT_FACTORIAL_CAP,
+                        help="largest S_m allowed for descent-word counting")
     parser.add_argument("--max-ambient", type=int, default=geometry.DEFAULT_AMBIENT_CAP,
                         help="largest ambient dimension allowed for lattice-point DP")
     parser.add_argument("--force", action="store_true",
                         help="lift the scale caps entirely")
+    return parser
 
 
 def _caps(args) -> tuple[int, int]:
@@ -75,54 +81,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Eulerian-Catalan counts, censuses, and polytope volumes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_format_parser()]
+    capped = common + [_caps_parser()]
 
-    p = sub.add_parser("eulerian-row", help="one row of the Eulerian triangle")
+    p = sub.add_parser("eulerian-row", parents=common, help="one row of the Eulerian triangle")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("ec", help="Eulerian-Catalan numbers EC_0..EC_max")
+    p = sub.add_parser("ec", parents=common, help="Eulerian-Catalan numbers EC_0..EC_max")
     p.add_argument("--max-n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("fuss", help="the Fuss-type count A(n, kn+k-1)/(n+1)")
+    p = sub.add_parser("fuss", parents=common, help="the Fuss-type count A(n, kn+k-1)/(n+1)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("catalan", help="Catalan numbers C_0..C_max")
+    p = sub.add_parser("catalan", parents=common, help="Catalan numbers C_0..C_max")
     p.add_argument("--max-n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("dyck-count", help="exhaustive (k-1)-Dyck permutation count")
+    p = sub.add_parser("dyck-count", parents=capped, help="(k-1)-Dyck permutation count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
-    _add_common(p)
 
-    p = sub.add_parser("census", help="exceedance census of S_{2n+1} with n descents")
+    p = sub.add_parser("census", parents=capped,
+                       help="exceedance census of S_{2n+1} with n descents")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--by-position", action="store_true",
                    help="bucket by the exact set of exceedance positions")
-    _add_common(p)
 
-    p = sub.add_parser("orbit", help="cyclic-orbit certificate for one permutation")
+    p = sub.add_parser("orbit", parents=common,
+                       help="cyclic-orbit certificate for one permutation")
     p.add_argument("word", type=int, nargs="+", metavar="W")
-    _add_common(p)
 
-    p = sub.add_parser("volume", help="exact normalized volume via Ehrhart counting")
+    p = sub.add_parser("volume", parents=capped,
+                       help="exact normalized volume via Ehrhart counting")
     p.add_argument("--shape", choices=["hypersimplex", "pkn", "p2n"], required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--flip", default="",
                    help="comma-separated flip set T for --shape p2n, e.g. 1,2")
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="run a cross-verification identity")
+    p = sub.add_parser("verify", parents=capped, help="run a cross-verification identity")
     p.add_argument("target", choices=[
         "equidistribution", "subdivision", "alcoved-vs-dyck", "census-vs-volumes",
     ])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
-    _add_common(p)
 
     return parser
 
@@ -159,7 +161,7 @@ def _cmd_catalan(args) -> int:
 
 def _cmd_dyck_count(args) -> int:
     cap, _ = _caps(args)
-    count = orbit.count_dyck_permutations(args.n, args.k, cap=cap, threads=args.threads)
+    count = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
     rows = [[args.n, args.k, count]]
     sys.stdout.write(render_table(["n", "k", "count"], rows, args.format))
     return EXIT_OK
@@ -168,13 +170,11 @@ def _cmd_dyck_count(args) -> int:
 def _cmd_census(args) -> int:
     cap, _ = _caps(args)
     if args.by_position:
-        census = alcoved.exceedance_position_census(
-            args.n, cap=cap, threads=args.threads
-        )
+        census = alcoved.exceedance_position_census(args.n, cap=cap)
         rows = [[alcoved.subset_key(T), count] for T, count in census.items()]
         sys.stdout.write(render_table(["positions", "count"], rows, args.format))
     else:
-        census = orbit.equidistribution_census(args.n, cap=cap, threads=args.threads)
+        census = orbit.equidistribution_census(args.n, cap=cap)
         rows = [[j, count] for j, count in sorted(census.items())]
         sys.stdout.write(render_table(["exceedance", "count"], rows, args.format))
     return EXIT_OK
@@ -233,7 +233,7 @@ def _cmd_volume(args) -> int:
 
 
 def _verify_equidistribution(args, cap: int) -> tuple[bool, dict]:
-    census = orbit.equidistribution_census(args.n, cap=cap, threads=args.threads)
+    census = orbit.equidistribution_census(args.n, cap=cap)
     expected = numbers.eulerian_catalan(args.n)
     ok = all(count == expected for count in census.values())
     return ok, {
@@ -250,12 +250,8 @@ def _verify_subdivision(args, ambient_cap: int) -> tuple[bool, dict]:
 
 
 def _verify_alcoved_vs_dyck(args, cap: int) -> tuple[bool, dict]:
-    via_alcoves = alcoved.w_set_count(
-        alcoved.spec_for_Pkn(args.k, args.n), cap=cap, threads=args.threads
-    )
-    via_paths = orbit.count_dyck_permutations(
-        args.n, args.k, cap=cap, threads=args.threads
-    )
+    via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n), cap=cap)
+    via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
     return via_alcoves == via_paths, {
         "target": "alcoved-vs-dyck",
         "k": args.k,
@@ -266,7 +262,7 @@ def _verify_alcoved_vs_dyck(args, cap: int) -> tuple[bool, dict]:
 
 
 def _verify_census_vs_volumes(args, cap: int, ambient_cap: int) -> tuple[bool, dict]:
-    census = alcoved.exceedance_position_census(args.n, cap=cap, threads=args.threads)
+    census = alcoved.exceedance_position_census(args.n, cap=cap)
     entries = {}
     mismatches = []
     for T, count in census.items():
@@ -325,7 +321,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScaleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE_CAP
-    except (ValueError, AssertionError) as exc:
+    except AssertionError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -2,4 +2,4 @@
 
 
 class ScaleCapError(Exception):
-    """An exhaustive enumeration was refused because it exceeds the configured cap."""
+    """A computation was refused because it exceeds the configured scale cap."""

@@ -10,69 +10,33 @@ that statement as a checked certificate.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import ScaleCapError
 from .numbers import eulerian
 from .permcore import (
+    DEFAULT_FACTORIAL_CAP,
     Permutation,
     as_permutation,
+    check_factorial_cap,
     cyclic_descent_positions,
     cyclic_shift,
     descent_count,
+    descent_word_census,
+    enumerate_by_descent_count,
     format_permutation,
 )
-from .paths import exceedance, is_dyck_permutation, path_from_perm
-
-DEFAULT_FACTORIAL_CAP = 11
+from .paths import (
+    exceedance,
+    is_dyck_permutation,
+    is_k_ballot,
+    path_from_perm,
+    path_from_word,
+)
 
 CASE_N = "n-cyclic-descents"
 CASE_N_PLUS_ONE = "n-plus-one-cyclic-descents"
-
-
-def _descents(w: Sequence[int]) -> int:
-    d = 0
-    prev = w[0]
-    for v in w[1:]:
-        if prev > v:
-            d += 1
-        prev = v
-    return d
-
-
-def _exceedance_of_perm(w: Sequence[int]) -> int:
-    """exc(L(w)) computed directly from the one-line word (hot path)."""
-    x = y = 0
-    exc = 0
-    prev = w[0]
-    for v in w[1:]:
-        if prev > v:
-            y += 1
-        else:
-            if y > x:
-                exc += 1
-            x += 1
-        prev = v
-    return exc
-
-
-def _exceedance_positions_of_perm(w: Sequence[int]) -> tuple[int, ...]:
-    x = y = 0
-    out = []
-    prev = w[0]
-    for v in w[1:]:
-        if prev > v:
-            y += 1
-        else:
-            if y > x:
-                out.append(x)
-            x += 1
-        prev = v
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -164,69 +128,28 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
     return OrbitCertificate(w, case_tag, tuple(shifts), tuple(exceedances))
 
 
-def _census_by_statistic(
-    m: int,
-    d_target: int,
-    statistic: Callable[[tuple[int, ...]], object],
-    threads: int = 1,
-) -> Counter:
-    """
-    Count permutations of [m] with d_target descents, bucketed by a
-    statistic.  The domain is partitioned by first element; partial
-    counters merge by addition, so the result is scheduling-independent.
-    """
-    values = tuple(range(1, m + 1))
-
-    def run_partition(first: int) -> Counter:
-        rest = tuple(v for v in values if v != first)
-        counts: Counter = Counter()
-        for tail in itertools.permutations(rest):
-            w = (first,) + tail
-            if _descents(w) == d_target:
-                counts[statistic(w)] += 1
-        return counts
-
-    if threads <= 1 or m <= 2:
-        total: Counter = Counter()
-        for first in values:
-            total += run_partition(first)
-        return total
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(run_partition, values))
-    total = Counter()
-    for part in partials:
-        total += part
-    return total
-
-
-def _check_cap(m: int, cap: int) -> None:
-    if m > cap:
-        raise ScaleCapError(
-            f"enumeration over S_{m} exceeds the cap of S_{cap}; "
-            "raise the cap explicitly to proceed"
-        )
-
-
 def equidistribution_census(
     n: int,
     cap: int = DEFAULT_FACTORIAL_CAP,
-    threads: int = 1,
     mode: str = "stream",
 ) -> dict[int, int]:
     """
     Census of w in S_{2n+1} with n descents by exc(L(w)).  Every bucket
     j = 0..n holds the same count, the Eulerian-Catalan number EC_n.
 
-    mode="orbit" recounts via one representative per cyclic orbit, as an
-    independent cross-check of the streaming census.
+    mode="stream" sums the descent-word engine over words; mode="orbit"
+    recounts by brute force, one representative per cyclic orbit, as an
+    independent reference.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     m = 2 * n + 1
-    _check_cap(m, cap)
     if mode == "stream":
-        counts = _census_by_statistic(m, n, _exceedance_of_perm, threads)
+        counts: Counter = Counter()
+        for word, count in descent_word_census(m, n, cap).items():
+            counts[exceedance(path_from_word(word))] += count
     elif mode == "orbit":
+        check_factorial_cap(m, cap)
         counts = _orbit_census(n)
     else:
         raise ValueError(f"unknown census mode {mode!r}")
@@ -234,11 +157,8 @@ def equidistribution_census(
 
 
 def _orbit_census(n: int) -> Counter:
-    m = 2 * n + 1
     counts: Counter = Counter()
-    for w in itertools.permutations(range(1, m + 1)):
-        if _descents(w) != n:
-            continue
+    for w in enumerate_by_descent_count(2 * n + 1, n):
         cert = analyze_orbit(w)
         # count each orbit once, at its lexicographically least listed shift
         if w == min(shifted for _, shifted in cert.shifts):
@@ -251,22 +171,17 @@ def count_dyck_permutations(
     n: int,
     k: int = 2,
     cap: int = DEFAULT_FACTORIAL_CAP,
-    threads: int = 1,
 ) -> int:
     """
-    Exhaustive count of w in S_{kn+k-1} with n descents whose ad-vector
-    is a (k-1)-ballot sequence; equals fuss_eulerian_catalan(k, n).
+    Count of w in S_{kn+k-1} with n descents whose ad-vector is a
+    (k-1)-ballot sequence; equals fuss_eulerian_catalan(k, n).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
-    m = k * n + k - 1
-    _check_cap(m, cap)
-    counts = _census_by_statistic(
-        m, n, lambda w: is_dyck_permutation(w, k - 1), threads
-    )
-    return counts.get(True, 0)
+    census = descent_word_census(k * n + k - 1, n, cap)
+    return sum(count for word, count in census.items() if is_k_ballot(word, k - 1))
 
 
 def dyck_to_s2n_bijection(word: Sequence[int]) -> Permutation:
@@ -285,7 +200,8 @@ def dyck_to_s2n_bijection(word: Sequence[int]) -> Permutation:
         raise ValueError(f"{w} is not a Dyck permutation")
     pos = w.index(m) + 1  # 1-based position of the maximum
     shifted = cyclic_shift(w, pos % m + 1)
-    assert shifted[-1] == m
+    if shifted[-1] != m:
+        raise AssertionError(f"shift {shifted} does not end in the maximum {m}")
     image = shifted[:-1]
     if descent_count(image) not in (n - 1, n):
         raise AssertionError(f"bijection image {image} has bad descent count")

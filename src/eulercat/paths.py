@@ -88,7 +88,8 @@ def exceedance_positions(path: LatticePath) -> frozenset[int]:
                 positions.add(x)
             x += 1
     # final column x = n peaks at y = n, never an exceedance
-    assert x == n
+    if x != n:
+        raise AssertionError(f"path {path!r} ends in column {x}, not {n}")
     return frozenset(positions)
 
 

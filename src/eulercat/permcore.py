@@ -9,14 +9,21 @@ convention; the tuple index is therefore position minus one.
 Descent positions are indices i in 1..m-1 with w_i > w_{i+1}.  Cyclic
 descent positions additionally allow index m for the wrap pair
 (w_m, w_1).  For m = 1 the wrap pair (w_1, w_1) is never a descent.
+
+Every count in the package depends on a permutation only through its
+ascent/descent word, so descent_word_census is the one counting engine:
+it counts the permutations behind each word instead of scanning S_m.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .errors import ScaleCapError
+
 Permutation = tuple[int, ...]
+
+DEFAULT_FACTORIAL_CAP = 11
 
 
 def as_permutation(word: Sequence[int]) -> Permutation:
@@ -67,16 +74,49 @@ def cyclic_shift(w: Sequence[int], r: int) -> Permutation:
     return tuple(w[r - 1:]) + tuple(w[:r - 1])
 
 
-@dataclass(frozen=True)
-class DescentProfile:
-    """Linear and cyclic descent positions of one permutation."""
+def check_factorial_cap(m: int, cap: int) -> None:
+    """Refuse a computation over S_m when m exceeds the cap."""
+    if m > cap:
+        raise ScaleCapError(
+            f"counting over S_{m} exceeds the cap of S_{cap}; "
+            "raise the cap explicitly to proceed"
+        )
 
-    descent_positions: frozenset[int]
-    cyclic_descent_positions: frozenset[int]
+
+def _word_count(word: Sequence[int]) -> int:
+    """Number of permutations of [len(word) + 1] whose ad-vector is word."""
+    # row[r]: orderings of the entries placed so far that match the word read
+    # so far and whose last entry has rank r among them
+    row = [1]
+    for descent in word:
+        if descent:
+            row = list(itertools.accumulate(reversed(row)))[::-1] + [0]
+        else:
+            row = [0] + list(itertools.accumulate(row))
+    return sum(row)
 
 
-def descent_profile(w: Sequence[int]) -> DescentProfile:
-    return DescentProfile(descent_positions(w), cyclic_descent_positions(w))
+def descent_word_census(
+    m: int, d: int, cap: int = DEFAULT_FACTORIAL_CAP
+) -> dict[tuple[int, ...], int]:
+    """
+    {ad-word: number of permutations of [m] with that word}, over the
+    C(m-1, d) words with d descents.  Each count comes from the O(m^2)
+    rank recurrence (Stanley, EC1 section 1.4), not from a scan of S_m.
+    Empty when d is out of range.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    check_factorial_cap(m, cap)
+    census = {}
+    if not 0 <= d <= m - 1:
+        return census
+    for ones in itertools.combinations(range(m - 1), d):
+        word = [0] * (m - 1)
+        for i in ones:
+            word[i] = 1
+        census[tuple(word)] = _word_count(word)
+    return census
 
 
 def enumerate_by_descent_count(m: int, d: int) -> Iterator[Permutation]:

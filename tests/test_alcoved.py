@@ -14,10 +14,37 @@ from eulercat.alcoved import (
 from eulercat.errors import ScaleCapError
 from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
 from eulercat.orbit import count_dyck_permutations
+from eulercat.permcore import enumerate_by_descent_count
 
 
 def prefix_bounds(spec):
     return {(b.i, b.j): (b.lower, b.upper) for b in spec.bounds if not b.box}
+
+
+def value_based_conditions_hold(w, bounds):
+    """The Lam-Postnikov check on the values: subword w_0 w_1..w_j with
+    w_0 = 0, descent count against the bounds, and at equality the
+    tie-break w_0 < w_j (lower side) or w_0 > w_j (upper side)."""
+    for bd in bounds:
+        if bd.box:
+            continue
+        word = (0,) + tuple(w[: bd.j])
+        d = sum(1 for a, b in zip(word, word[1:]) if a > b)
+        if bd.lower is not None:
+            if d < bd.lower or (d == bd.lower and not word[0] < word[-1]):
+                return False
+        if bd.upper is not None:
+            if d > bd.upper or (d == bd.upper and not word[0] > word[-1]):
+                return False
+    return True
+
+
+def brute_w_set_count(spec):
+    return sum(
+        1
+        for w in enumerate_by_descent_count(spec.ambient_n - 1, spec.level_k - 1)
+        if value_based_conditions_hold(w, spec.bounds)
+    )
 
 
 def test_spec_for_hypersimplex_shape():
@@ -57,6 +84,9 @@ def test_spec_validation():
         AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, 1, upper=1),))
     with pytest.raises(ValueError):
         AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 2, lower=2, upper=1),))
+    with pytest.raises(ValueError):
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, 2, upper=1),))
+    AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, 2, lower=0, upper=1, box=True),))
 
 
 def test_w_set_count_hypersimplex_examples():
@@ -81,6 +111,20 @@ def test_w_set_count_pkn_matches_fuss_and_dyck(k, n):
     count = w_set_count(spec_for_Pkn(k, n))
     assert count == fuss_eulerian_catalan(k, n)
     assert count == count_dyck_permutations(n, k)
+
+
+@pytest.mark.parametrize("n,T", [(n, T) for n in (1, 2, 3) for T in all_subsets(n)])
+def test_w_set_count_flipped_matches_value_based_brute_count(n, T):
+    spec = spec_for_P2n_flipped(n, T)
+    assert w_set_count(spec) == brute_w_set_count(spec)
+
+
+@pytest.mark.parametrize("k,n", [
+    (k, n) for k in range(2, 5) for n in range(1, 4) if k * (n + 1) <= 9
+])
+def test_w_set_count_pkn_matches_value_based_brute_count(k, n):
+    spec = spec_for_Pkn(k, n)
+    assert w_set_count(spec) == brute_w_set_count(spec)
 
 
 def test_w_set_count_scale_cap():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from eulercat import geometry
 from eulercat.cli import main
 
 
@@ -153,9 +154,22 @@ def test_byte_identical_reruns():
         assert first.stdout == second.stdout
 
 
-def test_threads_do_not_change_output():
-    base = run_subprocess("census", "--n", "3", "--format", "json")
-    threaded = run_subprocess("census", "--n", "3", "--format", "json",
-                              "--threads", "4")
-    assert base.returncode == threaded.returncode == 0
-    assert base.stdout == threaded.stdout
+def test_caps_are_taken_only_where_read(capsys):
+    for argv in (("ec", "--max-n", "2", "--force"),
+                 ("orbit", "2", "1", "3", "--max-factorial-cap", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "census", "--n", "2", "--max-factorial-cap", "5",
+                           "--format", "csv")
+    assert code == 0 and out == "exceedance,count\n0,22\n1,22\n2,22\n"
+    code, _, _ = run_cli(capsys, "census", "--n", "3", "--max-factorial-cap", "5")
+    assert code == 3
+
+
+def test_invariant_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "eval_poly", lambda coeffs, x: -1)
+    code, out, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "invariant" in err and "h(0) = 1" in err

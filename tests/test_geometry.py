@@ -67,8 +67,8 @@ def test_dp_agrees_with_naive_enumeration(spec, t):
 
 
 def test_dp_rejects_general_interval_bounds():
-    spec = AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, 3, upper=1),))
     with pytest.raises(ValueError):
+        spec = AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, 3, upper=1),))
         count_dilated_lattice_points(spec, 1)
 
 

@@ -68,10 +68,6 @@ def test_orbit_mode_census_agrees_with_streaming(n):
     assert equidistribution_census(n, mode="orbit") == equidistribution_census(n)
 
 
-def test_census_threads_are_deterministic():
-    assert equidistribution_census(2, threads=3) == equidistribution_census(2)
-
-
 def test_census_scale_cap():
     with pytest.raises(ScaleCapError):
         equidistribution_census(6)  # S_13

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,11 +12,13 @@ from eulercat.permcore import (
     cyclic_shift,
     descent_count,
     descent_positions,
-    descent_profile,
+    descent_word_census,
     enumerate_by_descent_count,
     format_permutation,
     parse_permutation,
 )
+
+from eulercat.errors import ScaleCapError
 
 from conftest import permutations_st, perms_of
 
@@ -108,13 +111,11 @@ def test_cyclic_shift_order_m_is_identity(w):
 
 
 @given(permutations_st())
-def test_descent_profile_invariants(w):
-    prof = descent_profile(w)
-    m = len(w)
-    assert prof.descent_positions <= prof.cyclic_descent_positions
-    assert prof.descent_positions <= frozenset(range(1, m))
-    extra = len(prof.cyclic_descent_positions) - len(prof.descent_positions)
-    assert extra in (0, 1)
+def test_linear_and_cyclic_descent_invariants(w):
+    linear, cyclic = descent_positions(w), cyclic_descent_positions(w)
+    assert linear <= cyclic
+    assert linear <= frozenset(range(1, len(w)))
+    assert len(cyclic) - len(linear) in (0, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -122,6 +123,25 @@ def test_cyclic_descent_dichotomy_for_central_class(n):
     m = 2 * n + 1
     for w in enumerate_by_descent_count(m, n):
         assert len(cyclic_descent_positions(w)) in (n, n + 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_descent_word_census_matches_brute_force(m):
+    for d in range(m):
+        brute = Counter(ad_vector(w) for w in enumerate_by_descent_count(m, d))
+        assert descent_word_census(m, d) == brute
+
+
+def test_descent_word_census_edges_and_cap():
+    assert descent_word_census(1, 0) == {(): 1}
+    assert descent_word_census(4, 4) == {}
+    assert descent_word_census(4, -1) == {}
+    assert descent_word_census(3, 1) == {(0, 1): 2, (1, 0): 2}
+    with pytest.raises(ValueError):
+        descent_word_census(0, 0)
+    with pytest.raises(ScaleCapError):
+        descent_word_census(12, 5)
+    assert sum(descent_word_census(12, 5, cap=12).values()) == 162512286
 
 
 def test_as_permutation_rejects_non_bijections():
