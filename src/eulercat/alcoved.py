@@ -39,7 +39,6 @@ class AlcovedSpec:
     ambient_n: int
     level_k: int
     bounds: tuple[Bound, ...] = field(default_factory=tuple)
-    rotation: int = 0  # coordinate rotation applied to prefix-anchor the bounds
 
     def __post_init__(self):
         if not 0 < self.level_k < self.ambient_n:
@@ -55,14 +54,11 @@ class AlcovedSpec:
                 raise ValueError(f"empty bound: {bd}")
 
     def to_json_dict(self) -> dict:
-        record = {
+        return {
             "ambient_n": self.ambient_n,
             "level_k": self.level_k,
             "bounds": [bd.to_json_dict() for bd in self.bounds if not bd.box],
         }
-        if self.rotation:
-            record["rotation"] = self.rotation
-        return record
 
 
 def _box_bounds(n: int) -> tuple[Bound, ...]:

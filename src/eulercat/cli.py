@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=["hypersimplex", "pkn", "p2n"], required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--flip", default="",
+    p.add_argument("--flip",
                    help="comma-separated flip set T for --shape p2n, e.g. 1,2")
 
     p = sub.add_parser("verify", parents=capped, help="run a cross-verification identity")
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eulerian_row(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    rows = [[m, numbers.eulerian(m, args.n)] for m in range(args.n)]
+    rows = [[m, count] for m, count in enumerate(numbers.eulerian_row(args.n))]
     sys.stdout.write(render_table(["m", "count"], rows, args.format))
     return EXIT_OK
 
@@ -140,7 +140,7 @@ def _cmd_eulerian_row(args) -> int:
 def _cmd_ec(args) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
-    rows = [[n, numbers.eulerian_catalan(n)] for n in range(args.max_n + 1)]
+    rows = [[n, ec] for n, ec in enumerate(numbers.eulerian_catalan_upto(args.max_n))]
     sys.stdout.write(render_table(["n", "ec"], rows, args.format))
     return EXIT_OK
 
@@ -207,15 +207,17 @@ def _parse_flip(text: str, n: int) -> frozenset[int]:
 
 
 def _volume_spec(args) -> alcoved.AlcovedSpec:
+    if args.shape == "p2n":
+        if args.k is not None:
+            raise ValueError("--k does not apply to --shape p2n (k is 2)")
+        return alcoved.spec_for_P2n_flipped(args.n, _parse_flip(args.flip or "", args.n))
+    if args.flip is not None:
+        raise ValueError(f"--flip applies only to --shape p2n, not {args.shape}")
+    if args.k is None:
+        raise ValueError(f"--k is required for --shape {args.shape}")
     if args.shape == "hypersimplex":
-        if args.k is None:
-            raise ValueError("--k is required for --shape hypersimplex")
         return alcoved.spec_for_hypersimplex(args.k, args.n)
-    if args.shape == "pkn":
-        if args.k is None:
-            raise ValueError("--k is required for --shape pkn")
-        return alcoved.spec_for_Pkn(args.k, args.n)
-    return alcoved.spec_for_P2n_flipped(args.n, _parse_flip(args.flip, args.n))
+    return alcoved.spec_for_Pkn(args.k, args.n)
 
 
 def _cmd_volume(args) -> int:

@@ -3,35 +3,45 @@ Exact big-integer number families: Eulerian, Catalan, Eulerian-Catalan,
 and the Fuss-type quotients A(n, kn+k-1)/(n+1).
 
 Everything is computed with Python's arbitrary-precision integers.  The
-Eulerian numbers use the two-term recurrence in one direction only; the
-row symmetry A(m, n) = A(n-m-1, n) is exercised by the test suite as an
-independent check, never as a computation shortcut.
+Eulerian numbers come from one rolling row of the two-term recurrence,
+in one direction only; the row symmetry A(m, n) = A(n-m-1, n) is
+exercised by the test suite as an independent check, never as a
+computation shortcut.
 """
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+from typing import Iterator
 
 
-@functools.lru_cache(maxsize=None)
-def _eulerian(m: int, n: int) -> int:
-    if m < 0 or m > n - 1:
-        return 0
-    if n == 1:
-        return 1  # A(0, 1); out-of-range m handled above
-    return (n - m) * _eulerian(m - 1, n - 1) + (m + 1) * _eulerian(m, n - 1)
+def eulerian_rows(n: int) -> Iterator[list[int]]:
+    """
+    Rows 1..n of the Eulerian triangle, row r as [A(0, r), ..., A(r-1, r)].
+    Each row is built from the one before by
+    A(m, r) = (r-m) A(m-1, r-1) + (m+1) A(m, r-1), and nothing older is kept.
+    """
+    row = [1]  # row 0: the empty permutation, no descents
+    for r in range(1, n + 1):
+        padded = [0, *row, 0]
+        row = [(r - m) * padded[m] + (m + 1) * padded[m + 1] for m in range(r)]
+        yield row
+
+
+def eulerian_row(n: int) -> list[int]:
+    """[A(0, n), ..., A(n-1, n)]."""
+    if n <= 0:
+        raise ValueError("n must be >= 1")
+    for row in eulerian_rows(n):
+        pass
+    return row
 
 
 def eulerian(m: int, n: int) -> int:
     """Number of permutations of [n] with m descents; 0 for m out of range."""
     if n <= 0:
         raise ValueError("n must be >= 1")
-    if n > 500:
-        # recursion depth guard: fill the memo table row by row
-        for nn in range(1, n + 1, 400):
-            for mm in range(nn):
-                _eulerian(mm, nn)
-    return _eulerian(m, n)
+    return eulerian_row(n)[m] if 0 <= m < n else 0
 
 
 def _exact_quotient(numerator: int, divisor: int, what: str) -> int:
@@ -49,6 +59,14 @@ def eulerian_catalan(n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _exact_quotient(eulerian(n, 2 * n + 1), n + 1, f"EC_{n}")
+
+
+def eulerian_catalan_upto(max_n: int) -> list[int]:
+    """[EC_0, ..., EC_max_n] from one walk over rows 1..2*max_n+1."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    odd_rows = itertools.islice(eulerian_rows(2 * max_n + 1), 0, None, 2)
+    return [_exact_quotient(row[n], n + 1, f"EC_{n}") for n, row in enumerate(odd_rows)]
 
 
 def fuss_eulerian_catalan(k: int, n: int) -> int:

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numbers import eulerian
 from .permcore import (
     DEFAULT_FACTORIAL_CAP,
     Permutation,
@@ -206,8 +205,3 @@ def dyck_to_s2n_bijection(word: Sequence[int]) -> Permutation:
     if descent_count(image) not in (n - 1, n):
         raise AssertionError(f"bijection image {image} has bad descent count")
     return image
-
-
-def exceedance_census_total(n: int) -> int:
-    """Total census mass: the number of w in S_{2n+1} with n descents."""
-    return eulerian(n, 2 * n + 1)

@@ -107,6 +107,20 @@ def test_volume_requires_k_for_pkn(capsys):
     assert code == 2 and "required" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("--shape", "pkn", "--k", "2", "--n", "2", "--flip", "1"), "--flip"),
+    (("--shape", "pkn", "--k", "2", "--n", "2", "--flip", ""), "--flip"),
+    (("--shape", "hypersimplex", "--k", "2", "--n", "4", "--flip", "1"), "--flip"),
+    (("--shape", "p2n", "--k", "2", "--n", "2"), "--k"),
+    (("--shape", "p2n", "--k", "3", "--n", "2", "--flip", "1"), "--k"),
+])
+def test_volume_refuses_flags_its_shape_ignores(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "volume", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "equidistribution", "--n", "2"),
     ("verify", "subdivision", "--k", "2", "--n", "2"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulercat import geometry
 from eulercat.alcoved import (
     AlcovedSpec,
     Bound,
@@ -18,7 +19,6 @@ from eulercat.geometry import (
     ehrhart_volume,
     eval_poly,
     interpolate_at_integers,
-    spec_for_Pkni,
     verify_subdivision,
 )
 from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
@@ -117,15 +117,6 @@ def test_ehrhart_scale_cap():
         ehrhart_volume(spec_for_Pkn(2, 5))  # ambient 12
 
 
-def test_spec_for_pkni_rotation():
-    assert spec_for_Pkni(2, 2, 0) == spec_for_Pkn(2, 2)
-    rotated = spec_for_Pkni(2, 2, 1)
-    assert rotated.rotation == 2
-    assert rotated.bounds == spec_for_Pkn(2, 2).bounds
-    with pytest.raises(ValueError):
-        spec_for_Pkni(2, 2, 3)
-
-
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1)])
 def test_verify_subdivision_passes(k, n):
     report = verify_subdivision(k, n)
@@ -134,6 +125,26 @@ def test_verify_subdivision_passes(k, n):
     assert report.total_volume == eulerian(n, k * (n + 1) - 1)
     assert report.points_probed > 0
     assert sum(report.interior_hits) > 0
+    assert len(report.piece_volumes) == n + 1
+    assert report.to_json_dict()["piece_symmetry"] == (
+        f"pieces 1..{n} are images of P_{{{k},{n}}} under the coordinate rotation by {k}*i"
+    )
+
+
+def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
+    calls = []
+    count = geometry.count_dilated_lattice_points
+
+    def counting(spec, t):
+        calls.append((spec, t))
+        return count(spec, t)
+
+    monkeypatch.setattr(geometry, "count_dilated_lattice_points", counting)
+    assert verify_subdivision(2, 2).passed
+    # P_{2,2} and Delta(3, 6), each at dilations t = 0..5
+    pkn, hyper = spec_for_Pkn(2, 2), spec_for_hypersimplex(3, 6)
+    assert len(calls) == 12
+    assert calls == [(pkn, t) for t in range(6)] + [(hyper, t) for t in range(6)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,8 +1,17 @@
+import json
 import math
 
 import pytest
 
-from eulercat.numbers import catalan, eulerian, eulerian_catalan, fuss_eulerian_catalan
+from eulercat.cli import main
+from eulercat.numbers import (
+    catalan,
+    eulerian,
+    eulerian_catalan,
+    eulerian_catalan_upto,
+    eulerian_row,
+    fuss_eulerian_catalan,
+)
 from eulercat.paths import enumerate_diagonal_paths
 
 from conftest import brute_descent_census
@@ -79,3 +88,35 @@ def test_big_values_stay_exact():
     # the central Eulerian number near n = 10 exceeds 64 bits
     assert eulerian(10, 21) > 2**63
     assert eulerian_catalan(10) * 11 == eulerian(10, 21)
+
+
+def closed_form_eulerian(m, n):
+    """A(m, n) by the alternating sum; shares nothing with the recurrence."""
+    return sum((-1) ** j * math.comb(n + 1, j) * (m + 1 - j) ** n for j in range(m + 1))
+
+
+@pytest.mark.parametrize("m,n", [(0, 501), (1, 501), (250, 501), (500, 501),
+                                 (3, 900), (449, 900)])
+def test_eulerian_past_n_500_matches_closed_form(m, n):
+    assert eulerian(m, n) == closed_form_eulerian(m, n)
+
+
+def test_eulerian_row_900_sum_and_symmetry():
+    row = eulerian_row(900)
+    assert len(row) == 900
+    assert sum(row) == math.factorial(900)
+    assert row == row[::-1]
+    assert row[17] == closed_form_eulerian(17, 900)
+
+
+def test_eulerian_row_rejects_empty_row():
+    with pytest.raises(ValueError):
+        eulerian_row(0)
+    with pytest.raises(ValueError):
+        eulerian_catalan_upto(-1)
+
+
+def test_ec_cli_walk_matches_one_at_a_time(capsys):
+    assert main(["ec", "--max-n", "40", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows == [{"n": n, "ec": eulerian_catalan(n)} for n in range(41)]
