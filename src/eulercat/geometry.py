@@ -2,28 +2,33 @@
 Independent exact volumes via Ehrhart lattice-point counting.
 
 A dilated alcoved slice is counted by a dynamic program over the running
-prefix sum; the counts at dilations t = 0..d determine the Ehrhart
-polynomial by exact rational interpolation, and the normalized volume is
-d! times its leading coefficient.  Nothing here consults the
-permutation-counting route, so the two volume computations cross-check
-each other.
+prefix sum, each coordinate step one difference of the DP row's own prefix
+sums; the counts at dilations t = 0..d determine the Ehrhart polynomial by
+integer Newton forward differences, and the normalized volume is d! times
+its leading coefficient.  Subdivision probes test integer numerators over
+one common denominator.  Nothing here consults the permutation-counting
+route, so the two volume computations cross-check each other.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .alcoved import AlcovedSpec, Bound, spec_for_Pkn, spec_for_hypersimplex
+from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
 from .errors import ScaleCapError
 from .numbers import eulerian, fuss_eulerian_catalan
 
-DEFAULT_AMBIENT_CAP = 10
+# Volumes up to 32 coordinates take at most ~0.1 s, one interpreter start-up: Delta(31, 32)
+# 0.08 s, P_{2,15} 0.05 s; Delta(39, 40) takes 0.17 s (CPython 3.11, one core)
+DEFAULT_AMBIENT_CAP = 32
 
 PROBE_SAMPLES = 120
 PROBE_SEED = 271828
+PROBE_DENOMINATOR = 97
 
 
 class DegenerateDimensionError(ValueError):
@@ -70,16 +75,16 @@ def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
     ranges = _coordinate_ranges(spec, t)
     checkpoints = _prefix_checkpoints(spec, t)
 
-    # dp[s] = number of ways for the processed prefix to sum to s
-    dp = [0] * (target + 1)
-    dp[0] = 1
+    # dp[s] = number of ways for the processed prefix to sum to s.  A coordinate
+    # in [lo, hi] maps it to nxt[s] = dp[s-hi] + ... + dp[s-lo] = prefix[s-lo+1] -
+    # prefix[max(s-hi, 0)]: 0 below lo, prefix[s-lo+1] up to hi, two slices above
+    dp = [1] + [0] * target
     for index, (lo, hi) in enumerate(ranges, start=1):
-        nxt = [0] * (target + 1)
-        for s, ways in enumerate(dp):
-            if not ways:
-                continue
-            for v in range(lo, min(hi, target - s) + 1):
-                nxt[s + v] += ways
+        if lo > min(hi, target):
+            return 0
+        prefix = [0, *itertools.accumulate(dp)]
+        above = zip(prefix[hi - lo + 2 : target - lo + 2], prefix[1:])
+        nxt = [0] * lo + prefix[1 : min(hi, target) - lo + 2] + [a - b for a, b in above]
         if index in checkpoints:
             clo, chi = checkpoints[index]
             for s in range(target + 1):
@@ -89,33 +94,25 @@ def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
     return dp[target]
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        for b, qb in enumerate(q):
-            out[a + b] += pa * qb
-    return out
-
-
 def interpolate_at_integers(values: Sequence[int]) -> list[Fraction]:
     """
-    Exact coefficients (ascending) of the unique degree <= d polynomial
-    through the points (0, values[0]), ..., (d, values[d]).
+    Exact coefficients (ascending) of the unique degree <= d polynomial through
+    (0, values[0]), ..., (d, values[d]), by Newton's forward differences:
+    d! p(x) = sum_j D^j h(0) (d!/j!) x(x-1)...(x-j+1) has integer coefficients.
     """
     d = len(values) - 1
-    coeffs = [Fraction(0)] * (d + 1)
-    for i, yi in enumerate(values):
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(d + 1):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [Fraction(-j), Fraction(1)])
-            denom *= i - j
-        scale = Fraction(yi, denom)
-        for p, c in enumerate(basis):
-            coeffs[p] += c * scale
-    return coeffs
+    scaled = [0] * (d + 1)  # coefficients of d! p(x)
+    falling = [1]  # coefficients of x(x-1)...(x-j+1)
+    weight = d_factorial = math.factorial(d)  # weight = d!/j!
+    diffs = list(values)  # D^j h(t) for t = 0..d-j
+    for j in range(d + 1):
+        term = diffs[0] * weight
+        for p, c in enumerate(falling):
+            scaled[p] += term * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [a - j * b for a, b in zip([0, *falling], [*falling, 0])]
+        weight //= j + 1
+    return [Fraction(c, d_factorial) for c in scaled]
 
 
 def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:
@@ -168,29 +165,33 @@ def ehrhart_volume(spec: AlcovedSpec, cap: int = DEFAULT_AMBIENT_CAP) -> Ehrhart
     return EhrhartRecord(d, evaluations, tuple(coeffs), int(volume))
 
 
-def _piece_membership(
-    k: int, n: int, i: int, point: Sequence[Fraction], strict: bool
-) -> bool:
-    """Whether the point of Delta(n+1, k(n+1)) lies in the i-th cyclic piece."""
-    N = k * (n + 1)
-    for t in range(1, n + 1):
-        total = sum(point[(k * i + s) % N] for s in range(k * t))
-        if strict:
-            if not total < t:
-                return False
-        elif not total <= t:
-            return False
-    return True
+def _piece_memberships(
+    k: int, n: int, numerators: Sequence[int], denominator: int
+) -> tuple[list[bool], list[bool]]:
+    """
+    Closed and interior membership of the point numerators/denominator in
+    each of the n+1 cyclic pieces: piece i holds x_{ki+1} + ... + x_{ki+kt}
+    <= t (< t inside) for t = 1..n, indices mod k(n+1), read off one
+    circular prefix sum of the numerators.
+    """
+    prefix = [0, *itertools.accumulate(itertools.chain(numerators, numerators))]
+    closed, interior = [], []
+    for i in range(n + 1):
+        start = prefix[k * i]
+        slack = min(
+            denominator * t - (prefix[k * (i + t)] - start) for t in range(1, n + 1)
+        )
+        closed.append(slack >= 0)
+        interior.append(slack > 0)
+    return closed, interior
 
 
 def _sample_hypersimplex_points(
-    k: int, n: int, count: int, rng: random.Random, denominator: int = 97
-) -> list[tuple[Fraction, ...]]:
-    """Fixed-seed rational points of Delta(n+1, k(n+1)) by rejection sampling."""
-    N = k * (n + 1)
-    level = n + 1
-    points = []
-    attempts = 0
+    k: int, n: int, count: int, rng: random.Random, denominator: int = PROBE_DENOMINATOR
+) -> list[tuple[int, ...]]:
+    """Numerators of fixed-seed points of Delta(n+1, k(n+1)) by rejection sampling."""
+    N, level = k * (n + 1), n + 1
+    points, attempts = [], 0
     while len(points) < count and attempts < 200_000:
         attempts += 1
         coords = [rng.randint(0, denominator) for _ in range(N - 1)]
@@ -198,8 +199,12 @@ def _sample_hypersimplex_points(
         if not 0 <= last <= denominator:
             continue
         coords.append(last)
-        points.append(tuple(Fraction(c, denominator) for c in coords))
+        points.append(tuple(coords))
     return points
+
+
+def _probe_point(numerators: Sequence[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, PROBE_DENOMINATOR) for c in numerators)
 
 
 @dataclass(frozen=True)
@@ -239,9 +244,7 @@ class SubdivisionReport:
         }
 
 
-def verify_subdivision(
-    k: int, n: int, cap: int = DEFAULT_AMBIENT_CAP
-) -> SubdivisionReport:
+def verify_subdivision(k: int, n: int, cap: int = DEFAULT_AMBIENT_CAP) -> SubdivisionReport:
     """
     Check that n+1 copies of P_{k,n} fill the hypersimplex volume and
     probe random rational points for coverage and disjoint interiors.
@@ -259,9 +262,7 @@ def verify_subdivision(
     expected_piece = fuss_eulerian_catalan(k, n)
     total = sum(volumes)
     if hyper != expected_total:
-        failures.append(
-            f"hypersimplex volume {hyper} != Eulerian number {expected_total}"
-        )
+        failures.append(f"hypersimplex volume {hyper} != Eulerian number {expected_total}")
     if total != hyper:
         failures.append(f"piece volumes sum to {total}, hypersimplex has {hyper}")
     if piece != expected_piece:
@@ -270,21 +271,20 @@ def verify_subdivision(
     rng = random.Random(PROBE_SEED)
     points = _sample_hypersimplex_points(k, n, PROBE_SAMPLES, rng)
     interior_hits = [0] * (n + 1)
-    for point in points:
-        member = [
-            _piece_membership(k, n, i, point, strict=False) for i in range(n + 1)
-        ]
+    for numerators in points:
+        member, interior = _piece_memberships(k, n, numerators, PROBE_DENOMINATOR)
         if not any(member):
-            failures.append(f"point {point} is covered by no piece")
+            failures.append(f"point {_probe_point(numerators)} is covered by no piece")
             continue
         for i in range(n + 1):
-            if not _piece_membership(k, n, i, point, strict=True):
+            if not interior[i]:
                 continue
             interior_hits[i] += 1
             for j in range(n + 1):
                 if j != i and member[j]:
                     failures.append(
-                        f"point {point} is interior to piece {i} but also in piece {j}"
+                        f"point {_probe_point(numerators)} is interior to piece {i} "
+                        f"but also in piece {j}"
                     )
     return SubdivisionReport(
         k=k,

@@ -12,19 +12,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, Optional
 
 
-def eulerian_rows(n: int) -> Iterator[list[int]]:
+def eulerian_rows(n: int, width: Optional[int] = None) -> Iterator[list[int]]:
     """
-    Rows 1..n of the Eulerian triangle, row r as [A(0, r), ..., A(r-1, r)].
-    Each row is built from the one before by
-    A(m, r) = (r-m) A(m-1, r-1) + (m+1) A(m, r-1), and nothing older is kept.
+    Rows 1..n of the Eulerian triangle, row r as [A(0, r), ..., A(r-1, r)],
+    or only its first `width` entries.  Each row is built from the one
+    before by A(m, r) = (r-m) A(m-1, r-1) + (m+1) A(m, r-1), which reads
+    no column right of m, and nothing older is kept.
     """
     row = [1]  # row 0: the empty permutation, no descents
     for r in range(1, n + 1):
         padded = [0, *row, 0]
-        row = [(r - m) * padded[m] + (m + 1) * padded[m + 1] for m in range(r)]
+        columns = r if width is None else min(r, width)
+        row = [(r - m) * padded[m] + (m + 1) * padded[m + 1] for m in range(columns)]
         yield row
 
 
@@ -41,7 +43,11 @@ def eulerian(m: int, n: int) -> int:
     """Number of permutations of [n] with m descents; 0 for m out of range."""
     if n <= 0:
         raise ValueError("n must be >= 1")
-    return eulerian_row(n)[m] if 0 <= m < n else 0
+    if not 0 <= m < n:
+        return 0
+    for row in eulerian_rows(n, width=m + 1):
+        pass
+    return row[m]
 
 
 def _exact_quotient(numerator: int, divisor: int, what: str) -> int:

@@ -141,12 +141,13 @@ def test_scale_cap_refusal(capsys):
 
 def test_force_lifts_the_cap(capsys):
     # S_13 is refused by default; with --force it would run, so use a case
-    # that is refused only by the default ambient cap instead
-    code, _, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2",
-                           "--n", "5")
+    # that is refused only by the default ambient cap instead: P_{3,10} has
+    # 33 coordinates, one past the cap of 32
+    code, _, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "3",
+                           "--n", "10")
     assert code == 3
-    code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2",
-                           "--n", "5", "--force", "--format", "json")
+    code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", "3",
+                           "--n", "10", "--force", "--format", "json")
     assert code == 0
     assert json.loads(out)["ehrhart"]["normalized_volume"] > 0
 
@@ -179,6 +180,15 @@ def test_caps_are_taken_only_where_read(capsys):
     assert code == 0 and out == "exceedance,count\n0,22\n1,22\n2,22\n"
     code, _, _ = run_cli(capsys, "census", "--n", "3", "--max-factorial-cap", "5")
     assert code == 3
+
+
+def test_overlapping_probe_exits_1(capsys, monkeypatch):
+    # every probe point reads as interior to every piece
+    monkeypatch.setattr(geometry, "_piece_memberships",
+                        lambda k, n, numerators, denominator: ([True] * (n + 1),) * 2)
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
+    assert code == 1
+    assert out.startswith("FAIL") and "is interior to piece 0 but also in piece 1" in out
 
 
 def test_invariant_failure_exits_1(capsys, monkeypatch):

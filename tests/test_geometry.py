@@ -1,7 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eulercat import geometry
 from eulercat.alcoved import (
@@ -26,21 +29,45 @@ from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
 
 def naive_lattice_count(spec, t):
     """Direct enumeration over the integer box, as an independent oracle."""
-    prefix = {b.j: (b.lower, b.upper) for b in spec.bounds if b.j - b.i > 1}
     count = 0
     for x in itertools.product(range(t + 1), repeat=spec.ambient_n):
         if sum(x) != t * spec.level_k:
             continue
         ok = True
-        for j, (lo, hi) in prefix.items():
-            s = sum(x[:j])
-            if lo is not None and s < t * lo:
+        for b in spec.bounds:
+            s = sum(x[b.i:b.j])
+            if b.lower is not None and s < t * b.lower:
                 ok = False
-            if hi is not None and s > t * hi:
+            if b.upper is not None and s > t * b.upper:
                 ok = False
         if ok:
             count += 1
     return count
+
+
+def lagrange_interpolation(values):
+    """Rational Lagrange interpolation through (t, values[t]), t = 0..d."""
+    d = len(values) - 1
+    coeffs = [Fraction(0)] * (d + 1)
+    for i, yi in enumerate(values):
+        basis, denom = [Fraction(1)], 1
+        for j in range(d + 1):
+            if j != i:
+                basis = [a - j * b for a, b in zip([0, *basis], [*basis, 0])]
+                denom *= i - j
+        for p, c in enumerate(basis):
+            coeffs[p] += c * Fraction(yi, denom)
+    return coeffs
+
+
+def fraction_piece_membership(k, n, i, point, strict):
+    """Membership of a Fraction point in piece i, re-summed for every t."""
+    N = k * (n + 1)
+    for t in range(1, n + 1):
+        total = sum(point[(k * i + s) % N] for s in range(k * t))
+        if not (total < t if strict else total <= t):
+            return False
+    return True
 
 
 def test_count_dilated_trivial_cases():
@@ -66,6 +93,30 @@ def test_dp_agrees_with_naive_enumeration(spec, t):
     assert count_dilated_lattice_points(spec, t) == naive_lattice_count(spec, t)
 
 
+def _pinned(ambient_n, level_k, j, extra=()):
+    # AlcovedSpec accepts i > 0 only on box bounds; the DP reads every
+    # singleton bound as a coordinate range, so this pins x_j to the dilation t
+    bound = Bound(j - 1, j, lower=1, upper=1, box=j > 1)
+    return AlcovedSpec(ambient_n=ambient_n, level_k=level_k, bounds=(bound, *extra))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec_for_P2n_flipped(2, {1, 2}),  # lower bounds on prefix checkpoints
+        _pinned(4, 2, 1),
+        _pinned(4, 2, 3),
+        _pinned(5, 2, 4, (Bound(0, 2, upper=1),)),
+        _pinned(5, 3, 2, (Bound(0, 3, lower=1), Bound(0, 4, upper=2))),
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 1, lower=2),)),  # empty range
+    ],
+    ids=["p22-flipped-12", "pin-1", "pin-3", "pin-4-cut", "pin-2-window", "empty"],
+)
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+def test_dp_agrees_with_naive_enumeration_on_lower_bounds(spec, t):
+    assert count_dilated_lattice_points(spec, t) == naive_lattice_count(spec, t)
+
+
 def test_dp_rejects_general_interval_bounds():
     with pytest.raises(ValueError):
         spec = AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, 3, upper=1),))
@@ -77,6 +128,13 @@ def test_interpolation_is_exact():
     coeffs = interpolate_at_integers([1, 2, 4])
     assert coeffs == [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
     assert eval_poly(coeffs, 5) == Fraction(16)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10))
+def test_interpolation_matches_lagrange(values):
+    coeffs = interpolate_at_integers(values)
+    assert coeffs == lagrange_interpolation(values)
+    assert [eval_poly(coeffs, t) for t in range(len(values))] == values
 
 
 def test_ehrhart_hypersimplex_volumes():
@@ -113,8 +171,15 @@ def test_ehrhart_degenerate_polytope_is_reported():
 
 
 def test_ehrhart_scale_cap():
+    assert geometry.DEFAULT_AMBIENT_CAP == 32
     with pytest.raises(ScaleCapError):
-        ehrhart_volume(spec_for_Pkn(2, 5))  # ambient 12
+        ehrhart_volume(spec_for_Pkn(3, 10))  # ambient 33
+
+
+def test_ehrhart_at_scale():
+    # 32 coordinates, d = 31
+    assert ehrhart_volume(spec_for_Pkn(2, 15), cap=32).normalized_volume == eulerian_catalan(15)
+    assert verify_subdivision(2, 8, cap=18).passed
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1)])
@@ -129,6 +194,41 @@ def test_verify_subdivision_passes(k, n):
     assert report.to_json_dict()["piece_symmetry"] == (
         f"pieces 1..{n} are images of P_{{{k},{n}}} under the coordinate rotation by {k}*i"
     )
+
+
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1), (2, 3)])
+def test_integer_membership_matches_fraction_sums(k, n):
+    rng = random.Random(geometry.PROBE_SEED)
+    points = geometry._sample_hypersimplex_points(k, n, geometry.PROBE_SAMPLES, rng)
+    assert len(points) == geometry.PROBE_SAMPLES
+    d = geometry.PROBE_DENOMINATOR
+    for numerators in points:
+        point = tuple(Fraction(c, d) for c in numerators)
+        closed, interior = geometry._piece_memberships(k, n, numerators, d)
+        assert closed == [fraction_piece_membership(k, n, i, point, False) for i in range(n + 1)]
+        assert interior == [fraction_piece_membership(k, n, i, point, True) for i in range(n + 1)]
+
+
+def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
+    real = geometry._piece_memberships
+    seen = []
+
+    def overlap_first_point(k, n, numerators, denominator):
+        seen.append(numerators)
+        closed, interior = real(k, n, numerators, denominator)
+        if len(seen) == 1:
+            closed[:2] = interior[:2] = [True, True]
+        return closed, interior
+
+    monkeypatch.setattr(geometry, "_piece_memberships", overlap_first_point)
+    report = verify_subdivision(2, 1)
+    point = tuple(Fraction(c, geometry.PROBE_DENOMINATOR) for c in seen[0])
+    assert not report.passed
+    assert report.failures == (
+        f"point {point} is interior to piece 0 but also in piece 1",
+        f"point {point} is interior to piece 1 but also in piece 0",
+    )
+    assert report.points_probed == len(seen) == geometry.PROBE_SAMPLES
 
 
 def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):

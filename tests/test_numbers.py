@@ -101,6 +101,12 @@ def test_eulerian_past_n_500_matches_closed_form(m, n):
     assert eulerian(m, n) == closed_form_eulerian(m, n)
 
 
+@pytest.mark.parametrize("m,n", [(10, 3000), (3, 1200)])
+def test_eulerian_band_far_from_the_row_matches_closed_form(m, n):
+    # only columns 0..m of rows 1..n are walked; the whole row 3000 is never built
+    assert eulerian(m, n) == closed_form_eulerian(m, n)
+
+
 def test_eulerian_row_900_sum_and_symmetry():
     row = eulerian_row(900)
     assert len(row) == 900
