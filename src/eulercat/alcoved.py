@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .paths import exceedance_positions, path_from_word
 from .permcore import DEFAULT_FACTORIAL_CAP, descent_word_census
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """b <= x_{i+1} + ... + x_j <= c; either side may be absent (None)."""
 
     i: int
@@ -34,24 +32,30 @@ class Bound:
         return {"i": self.i, "j": self.j, "b": self.lower, "c": self.upper}
 
 
-@dataclass(frozen=True)
-class AlcovedSpec:
+class _SpecFields(NamedTuple):
     ambient_n: int
     level_k: int
-    bounds: tuple[Bound, ...] = field(default_factory=tuple)
+    bounds: tuple[Bound, ...] = ()
 
-    def __post_init__(self):
-        if not 0 < self.level_k < self.ambient_n:
+
+class AlcovedSpec(_SpecFields):
+    """Delta(level_k, ambient_n) cut by prefix-anchored (or unit-box) bounds."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient_n: int, level_k: int, bounds: tuple[Bound, ...] = ()):
+        if not 0 < level_k < ambient_n:
             raise ValueError(
-                f"degenerate hypersimplex slice: k = {self.level_k}, n = {self.ambient_n}"
+                f"degenerate hypersimplex slice: k = {level_k}, n = {ambient_n}"
             )
-        for bd in self.bounds:
-            if not 0 <= bd.i < bd.j <= self.ambient_n:
+        for bd in bounds:
+            if not 0 <= bd.i < bd.j <= ambient_n:
                 raise ValueError(f"bound indices out of range: {bd}")
             if bd.i != 0 and not bd.box:
                 raise ValueError(f"only prefix-anchored bounds (i = 0) are supported: {bd}")
             if bd.lower is not None and bd.upper is not None and bd.lower > bd.upper:
                 raise ValueError(f"empty bound: {bd}")
+        return super().__new__(cls, ambient_n, level_k, bounds)
 
     def to_json_dict(self) -> dict:
         return {

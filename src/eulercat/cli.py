@@ -9,15 +9,18 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import alcoved, geometry, numbers, orbit
-from .errors import ScaleCapError
-from .permcore import DEFAULT_FACTORIAL_CAP, as_permutation
+from . import numbers
+from .errors import DEFAULT_AMBIENT_CAP, DEFAULT_FACTORIAL_CAP, InvariantError, ScaleCapError
+
+if TYPE_CHECKING:
+    from .alcoved import AlcovedSpec
+
+# Each handler imports the modules it runs, so a process loads only what its
+# subcommand needs: start-up is a large share of every short command.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,6 +36,9 @@ def render_table(headers: list[str], rows: list[list], fmt: str) -> str:
         return json.dumps(records, sort_keys=True) + "\n"
     str_rows = [[str(cell) for cell in row] for row in rows]
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
@@ -62,7 +68,7 @@ def _caps_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--max-factorial-cap", type=int, default=DEFAULT_FACTORIAL_CAP,
                         help="largest S_m allowed for descent-word counting")
-    parser.add_argument("--max-ambient", type=int, default=geometry.DEFAULT_AMBIENT_CAP,
+    parser.add_argument("--max-ambient", type=int, default=DEFAULT_AMBIENT_CAP,
                         help="largest ambient dimension allowed for lattice-point DP")
     parser.add_argument("--force", action="store_true",
                         help="lift the scale caps entirely")
@@ -160,6 +166,8 @@ def _cmd_catalan(args) -> int:
 
 
 def _cmd_dyck_count(args) -> int:
+    from . import orbit
+
     cap, _ = _caps(args)
     count = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
     rows = [[args.n, args.k, count]]
@@ -170,10 +178,14 @@ def _cmd_dyck_count(args) -> int:
 def _cmd_census(args) -> int:
     cap, _ = _caps(args)
     if args.by_position:
+        from . import alcoved
+
         census = alcoved.exceedance_position_census(args.n, cap=cap)
         rows = [[alcoved.subset_key(T), count] for T, count in census.items()]
         sys.stdout.write(render_table(["positions", "count"], rows, args.format))
     else:
+        from . import orbit
+
         census = orbit.equidistribution_census(args.n, cap=cap)
         rows = [[j, count] for j, count in sorted(census.items())]
         sys.stdout.write(render_table(["exceedance", "count"], rows, args.format))
@@ -181,6 +193,9 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from . import orbit
+    from .permcore import as_permutation
+
     cert = orbit.analyze_orbit(as_permutation(args.word))
     if args.format == "json":
         sys.stdout.write(render_json(cert.to_json_dict()))
@@ -206,7 +221,9 @@ def _parse_flip(text: str, n: int) -> frozenset[int]:
     return flips
 
 
-def _volume_spec(args) -> alcoved.AlcovedSpec:
+def _volume_spec(args) -> AlcovedSpec:
+    from . import alcoved
+
     if args.shape == "p2n":
         if args.k is not None:
             raise ValueError("--k does not apply to --shape p2n (k is 2)")
@@ -221,6 +238,8 @@ def _volume_spec(args) -> alcoved.AlcovedSpec:
 
 
 def _cmd_volume(args) -> int:
+    from . import geometry
+
     _, ambient_cap = _caps(args)
     spec = _volume_spec(args)
     record = geometry.ehrhart_volume(spec, cap=ambient_cap)
@@ -235,6 +254,8 @@ def _cmd_volume(args) -> int:
 
 
 def _verify_equidistribution(args, cap: int) -> tuple[bool, dict]:
+    from . import orbit
+
     census = orbit.equidistribution_census(args.n, cap=cap)
     expected = numbers.eulerian_catalan(args.n)
     ok = all(count == expected for count in census.values())
@@ -247,11 +268,15 @@ def _verify_equidistribution(args, cap: int) -> tuple[bool, dict]:
 
 
 def _verify_subdivision(args, ambient_cap: int) -> tuple[bool, dict]:
+    from . import geometry
+
     report = geometry.verify_subdivision(args.k, args.n, cap=ambient_cap)
     return report.passed, {"target": "subdivision", **report.to_json_dict()}
 
 
 def _verify_alcoved_vs_dyck(args, cap: int) -> tuple[bool, dict]:
+    from . import alcoved, orbit
+
     via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n), cap=cap)
     via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
     return via_alcoves == via_paths, {
@@ -264,6 +289,8 @@ def _verify_alcoved_vs_dyck(args, cap: int) -> tuple[bool, dict]:
 
 
 def _verify_census_vs_volumes(args, cap: int, ambient_cap: int) -> tuple[bool, dict]:
+    from . import alcoved, geometry
+
     census = alcoved.exceedance_position_census(args.n, cap=cap)
     entries = {}
     mismatches = []
@@ -323,7 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScaleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE_CAP
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except ValueError as exc:

@@ -14,17 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
-from .errors import ScaleCapError
+from .errors import DEFAULT_AMBIENT_CAP, InvariantError, ScaleCapError
 from .numbers import eulerian, fuss_eulerian_catalan
-
-# Volumes up to 32 coordinates take at most ~0.1 s, one interpreter start-up: Delta(31, 32)
-# 0.08 s, P_{2,15} 0.05 s; Delta(39, 40) takes 0.17 s (CPython 3.11, one core)
-DEFAULT_AMBIENT_CAP = 32
 
 PROBE_SAMPLES = 120
 PROBE_SEED = 271828
@@ -86,10 +81,10 @@ def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
         above = zip(prefix[hi - lo + 2 : target - lo + 2], prefix[1:])
         nxt = [0] * lo + prefix[1 : min(hi, target) - lo + 2] + [a - b for a, b in above]
         if index in checkpoints:
-            clo, chi = checkpoints[index]
-            for s in range(target + 1):
-                if s < clo or s > chi:
-                    nxt[s] = 0
+            clo, chi = checkpoints[index]  # 0 <= clo and chi <= target
+            below, above = min(clo, target + 1), max(chi + 1, 0)
+            nxt[:below] = [0] * below
+            nxt[above:] = [0] * (target + 1 - above)
         dp = nxt
     return dp[target]
 
@@ -122,8 +117,7 @@ def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class EhrhartRecord:
+class EhrhartRecord(NamedTuple):
     dimension: int
     evaluations: tuple[int, ...]
     coefficients: tuple[Fraction, ...]
@@ -158,10 +152,10 @@ def ehrhart_volume(spec: AlcovedSpec, cap: int = DEFAULT_AMBIENT_CAP) -> Ehrhart
         )
     for t, val in enumerate(evaluations):
         if eval_poly(coeffs, t) != val:
-            raise AssertionError(f"interpolated polynomial misses h({t}) = {val}")
+            raise InvariantError(f"interpolated polynomial misses h({t}) = {val}")
     volume = math.factorial(d) * coeffs[d]
     if volume.denominator != 1 or volume < 0:
-        raise AssertionError(f"normalized volume {volume} is not a nonnegative integer")
+        raise InvariantError(f"normalized volume {volume} is not a nonnegative integer")
     return EhrhartRecord(d, evaluations, tuple(coeffs), int(volume))
 
 
@@ -207,8 +201,7 @@ def _probe_point(numerators: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, PROBE_DENOMINATOR) for c in numerators)
 
 
-@dataclass(frozen=True)
-class SubdivisionReport:
+class SubdivisionReport(NamedTuple):
     k: int
     n: int
     piece_volumes: tuple[int, ...]

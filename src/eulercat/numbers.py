@@ -14,27 +14,38 @@ import itertools
 import math
 from typing import Iterator, Optional
 
+from .errors import InvariantError
 
-def eulerian_rows(n: int, width: Optional[int] = None) -> Iterator[list[int]]:
+
+def eulerian_rows(
+    n: int, descents: Optional[int] = None, ascents: Optional[int] = None
+) -> Iterator[tuple[int, list[int]]]:
     """
-    Rows 1..n of the Eulerian triangle, row r as [A(0, r), ..., A(r-1, r)],
-    or only its first `width` entries.  Each row is built from the one
-    before by A(m, r) = (r-m) A(m-1, r-1) + (m+1) A(m, r-1), which reads
-    no column right of m, and nothing older is kept.
+    Rows 1..n of the Eulerian triangle, row r as (lo, [A(lo, r), ..., A(hi, r)]):
+    the band max(0, r-1-ascents) <= m <= min(r-1, descents) of entries with at
+    most that many descents and ascents, or the whole row (lo = 0, hi = r-1)
+    where a limit is None.  Each row is built from the one before by
+    A(m, r) = (r-m) A(m-1, r-1) + (m+1) A(m, r-1), which reads only entries
+    of the previous row's band, and nothing older is kept.
     """
-    row = [1]  # row 0: the empty permutation, no descents
+    lo, row = 0, [1]  # row 0: the empty permutation, no descents
     for r in range(1, n + 1):
-        padded = [0, *row, 0]
-        columns = r if width is None else min(r, width)
-        row = [(r - m) * padded[m] + (m + 1) * padded[m + 1] for m in range(columns)]
-        yield row
+        prev_lo = lo
+        lo = 0 if ascents is None else max(0, r - 1 - ascents)  # prev_lo or prev_lo + 1
+        hi = r - 1 if descents is None else min(r - 1, descents)
+        padded = [0, *row, 0] if lo == prev_lo else [*row, 0]  # [m - lo] = A(m-1, r-1)
+        row = [
+            (r - m) * padded[m - lo] + (m + 1) * padded[m - lo + 1]
+            for m in range(lo, hi + 1)
+        ]
+        yield lo, row
 
 
 def eulerian_row(n: int) -> list[int]:
     """[A(0, n), ..., A(n-1, n)]."""
     if n <= 0:
         raise ValueError("n must be >= 1")
-    for row in eulerian_rows(n):
+    for _, row in eulerian_rows(n):
         pass
     return row
 
@@ -45,15 +56,15 @@ def eulerian(m: int, n: int) -> int:
         raise ValueError("n must be >= 1")
     if not 0 <= m < n:
         return 0
-    for row in eulerian_rows(n, width=m + 1):
+    for _, row in eulerian_rows(n, descents=m, ascents=n - 1 - m):
         pass
-    return row[m]
+    return row[0]
 
 
 def _exact_quotient(numerator: int, divisor: int, what: str) -> int:
     q, r = divmod(numerator, divisor)
     if r != 0:
-        raise AssertionError(
+        raise InvariantError(
             f"{what}: {numerator} is not divisible by {divisor}; "
             "this indicates a bug in the Eulerian recurrence"
         )
@@ -71,8 +82,11 @@ def eulerian_catalan_upto(max_n: int) -> list[int]:
     """[EC_0, ..., EC_max_n] from one walk over rows 1..2*max_n+1."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    odd_rows = itertools.islice(eulerian_rows(2 * max_n + 1), 0, None, 2)
-    return [_exact_quotient(row[n], n + 1, f"EC_{n}") for n, row in enumerate(odd_rows)]
+    odd_rows = itertools.islice(eulerian_rows(2 * max_n + 1, max_n, max_n), 0, None, 2)
+    return [
+        _exact_quotient(row[n - lo], n + 1, f"EC_{n}")
+        for n, (lo, row) in enumerate(odd_rows)
+    ]
 
 
 def fuss_eulerian_catalan(k: int, n: int) -> int:

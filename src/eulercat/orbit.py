@@ -11,9 +11,9 @@ that statement as a checked certificate.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from .errors import InvariantError
 from .permcore import (
     DEFAULT_FACTORIAL_CAP,
     Permutation,
@@ -38,8 +38,7 @@ CASE_N = "n-cyclic-descents"
 CASE_N_PLUS_ONE = "n-plus-one-cyclic-descents"
 
 
-@dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(NamedTuple):
     """The n+1 cyclic shifts with n descents and their exceedances."""
 
     base: Permutation
@@ -89,7 +88,7 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
     elif len(cyclic) == n + 1:
         case_tag, want_descent_pair = CASE_N_PLUS_ONE, True
     else:
-        raise AssertionError(
+        raise InvariantError(
             f"cyclic descent count {len(cyclic)} outside {{n, n+1}}"
         )
 
@@ -102,7 +101,7 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
         if (pair_index in cyclic) == want_descent_pair:
             starts.append(i)
     if len(starts) != n + 1:
-        raise AssertionError(f"expected {n + 1} start indices, got {starts}")
+        raise InvariantError(f"expected {n + 1} start indices, got {starts}")
 
     shifts = []
     exceedances = []
@@ -112,16 +111,16 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
         d = descent_count(shifted)
         if r in starts:
             if d != n:
-                raise AssertionError(f"listed shift {shifted} has {d} descents")
+                raise InvariantError(f"listed shift {shifted} has {d} descents")
             shifts.append((r, shifted))
             exceedances.append(exceedance(path_from_perm(shifted)))
         elif d != other_descents:
-            raise AssertionError(
+            raise InvariantError(
                 f"unlisted shift {shifted} has {d} descents, expected {other_descents}"
             )
 
     if sorted(exceedances) != list(range(n + 1)):
-        raise AssertionError(
+        raise InvariantError(
             f"exceedances {exceedances} are not a permutation of 0..{n}"
         )
     return OrbitCertificate(w, case_tag, tuple(shifts), tuple(exceedances))
@@ -200,8 +199,8 @@ def dyck_to_s2n_bijection(word: Sequence[int]) -> Permutation:
     pos = w.index(m) + 1  # 1-based position of the maximum
     shifted = cyclic_shift(w, pos % m + 1)
     if shifted[-1] != m:
-        raise AssertionError(f"shift {shifted} does not end in the maximum {m}")
+        raise InvariantError(f"shift {shifted} does not end in the maximum {m}")
     image = shifted[:-1]
     if descent_count(image) not in (n - 1, n):
-        raise AssertionError(f"bijection image {image} has bad descent count")
+        raise InvariantError(f"bijection image {image} has bad descent count")
     return image

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+from .errors import InvariantError
 from .permcore import ad_vector
 
 EAST = "E"
@@ -89,7 +90,7 @@ def exceedance_positions(path: LatticePath) -> frozenset[int]:
             x += 1
     # final column x = n peaks at y = n, never an exceedance
     if x != n:
-        raise AssertionError(f"path {path!r} ends in column {x}, not {n}")
+        raise InvariantError(f"path {path!r} ends in column {x}, not {n}")
     return frozenset(positions)
 
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .errors import ScaleCapError
+from .errors import DEFAULT_FACTORIAL_CAP, ScaleCapError
 
 Permutation = tuple[int, ...]
-
-DEFAULT_FACTORIAL_CAP = 11
 
 
 def as_permutation(word: Sequence[int]) -> Permutation:

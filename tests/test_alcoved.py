@@ -129,7 +129,7 @@ def test_w_set_count_pkn_matches_value_based_brute_count(k, n):
 
 def test_w_set_count_scale_cap():
     with pytest.raises(ScaleCapError):
-        w_set_count(spec_for_Pkn(2, 6))  # S_13
+        w_set_count(spec_for_Pkn(2, 8))  # S_17
 
 
 def test_exceedance_position_census_examples():

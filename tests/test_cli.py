@@ -6,6 +6,7 @@ import pytest
 
 from eulercat import geometry
 from eulercat.cli import main
+from eulercat.numbers import eulerian_catalan
 
 
 def run_cli(capsys, *argv):
@@ -134,15 +135,17 @@ def test_verify_targets_pass(capsys, argv):
 
 
 def test_scale_cap_refusal(capsys):
-    code, _, err = run_cli(capsys, "census", "--n", "6")
-    assert code == 3
-    assert "cap" in err
+    # S_15 (census --n 7) is the default cap's edge; S_17 is refused
+    code, out, _ = run_cli(capsys, "census", "--n", "7", "--format", "csv")
+    assert code == 0 and out.splitlines()[1:] == [f"{j},{eulerian_catalan(7)}" for j in range(8)]
+    code, out, err = run_cli(capsys, "census", "--n", "8")
+    assert code == 3 and out == ""
+    assert err == "error: counting over S_17 exceeds the cap of S_15; " \
+        "raise the cap explicitly to proceed\n"
 
 
 def test_force_lifts_the_cap(capsys):
-    # S_13 is refused by default; with --force it would run, so use a case
-    # that is refused only by the default ambient cap instead: P_{3,10} has
-    # 33 coordinates, one past the cap of 32
+    # P_{3,10} has 33 coordinates, one past the default ambient cap of 32
     code, _, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "3",
                            "--n", "10")
     assert code == 3
@@ -197,3 +200,27 @@ def test_invariant_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "invariant" in err and "h(0) = 1" in err
+
+
+DIET_PROBE = """
+import sys
+from eulercat.cli import main
+main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (("catalan", "--max-n", "0"),
+     {"dataclasses", "fractions", "csv", "eulercat.orbit", "eulercat.alcoved",
+      "eulercat.geometry", "eulercat.paths", "eulercat.permcore"}),
+    (("census", "--n", "1"), {"dataclasses", "fractions", "eulercat.geometry"}),
+])
+def test_subcommand_imports_only_what_it_runs(argv, absent):
+    # a fresh interpreter: pytest itself has loaded dataclasses and fractions
+    result = subprocess.run([sys.executable, "-c", DIET_PROBE, *argv], capture_output=True,
+                            text=True)
+    assert result.returncode == 0
+    loaded = set(result.stderr.split())
+    assert "eulercat.numbers" in loaded
+    assert loaded & absent == set()

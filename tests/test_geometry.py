@@ -109,8 +109,13 @@ def _pinned(ambient_n, level_k, j, extra=()):
         _pinned(5, 2, 4, (Bound(0, 2, upper=1),)),
         _pinned(5, 3, 2, (Bound(0, 3, lower=1), Bound(0, 4, upper=2))),
         AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 1, lower=2),)),  # empty range
+        # checkpoint windows reaching past either end of the DP row
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 2, lower=3),)),
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 2, upper=-1),)),
+        AlcovedSpec(ambient_n=5, level_k=2, bounds=(Bound(0, 3, lower=2, upper=2),)),
     ],
-    ids=["p22-flipped-12", "pin-1", "pin-3", "pin-4-cut", "pin-2-window", "empty"],
+    ids=["p22-flipped-12", "pin-1", "pin-3", "pin-4-cut", "pin-2-window", "empty",
+         "cut-above-level", "cut-below-zero", "cut-at-level"],
 )
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
 def test_dp_agrees_with_naive_enumeration_on_lower_bounds(spec, t):

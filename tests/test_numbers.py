@@ -10,6 +10,7 @@ from eulercat.numbers import (
     eulerian_catalan,
     eulerian_catalan_upto,
     eulerian_row,
+    eulerian_rows,
     fuss_eulerian_catalan,
 )
 from eulercat.paths import enumerate_diagonal_paths
@@ -105,6 +106,17 @@ def test_eulerian_past_n_500_matches_closed_form(m, n):
 def test_eulerian_band_far_from_the_row_matches_closed_form(m, n):
     # only columns 0..m of rows 1..n are walked; the whole row 3000 is never built
     assert eulerian(m, n) == closed_form_eulerian(m, n)
+
+
+def test_band_walk_matches_full_row_walk():
+    # eulerian_catalan_upto walks only the band of at most N descents and N ascents
+    full = [row for _, row in eulerian_rows(121)]
+    for max_n in range(61):
+        assert eulerian_catalan_upto(max_n) == [
+            full[2 * n][n] // (n + 1) for n in range(max_n + 1)
+        ]
+    for (lo, band), row in zip(eulerian_rows(121, descents=7, ascents=40), full):
+        assert band == row[lo : 8] and lo == max(0, len(row) - 41)
 
 
 def test_eulerian_row_900_sum_and_symmetry():

@@ -70,7 +70,7 @@ def test_orbit_mode_census_agrees_with_streaming(n):
 
 def test_census_scale_cap():
     with pytest.raises(ScaleCapError):
-        equidistribution_census(6)  # S_13
+        equidistribution_census(8)  # S_17
     with pytest.raises(ValueError):
         equidistribution_census(2, mode="bogus")
 
@@ -95,7 +95,7 @@ def test_count_dyck_rejects_bad_args():
     with pytest.raises(ValueError):
         count_dyck_permutations(2, 1)
     with pytest.raises(ScaleCapError):
-        count_dyck_permutations(6, 2)
+        count_dyck_permutations(8, 2)
 
 
 def test_bijection_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from eulercat.permcore import (
+    DEFAULT_FACTORIAL_CAP,
     ad_vector,
     as_permutation,
     complement,
@@ -139,9 +140,12 @@ def test_descent_word_census_edges_and_cap():
     assert descent_word_census(3, 1) == {(0, 1): 2, (1, 0): 2}
     with pytest.raises(ValueError):
         descent_word_census(0, 0)
+    assert DEFAULT_FACTORIAL_CAP == 15
     with pytest.raises(ScaleCapError):
-        descent_word_census(12, 5)
+        descent_word_census(16, 5)
     assert sum(descent_word_census(12, 5, cap=12).values()) == 162512286
+    with pytest.raises(ScaleCapError):
+        descent_word_census(12, 5, cap=11)
 
 
 def test_as_permutation_rejects_non_bijections():

@@ -1,0 +1,61 @@
+"""The result records: construction-time validation and their JSON shapes."""
+import pytest
+
+from eulercat.alcoved import AlcovedSpec, Bound, spec_for_P2n_flipped, spec_for_Pkn
+from eulercat.geometry import ehrhart_volume, verify_subdivision
+from eulercat.orbit import analyze_orbit
+
+
+def test_alcoved_spec_validates_at_construction():
+    with pytest.raises(ValueError, match="empty bound"):
+        AlcovedSpec(4, 2, (Bound(0, 2, lower=2, upper=1),))
+    with pytest.raises(ValueError, match="out of range"):
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 5, upper=1),))
+    with pytest.raises(ValueError, match="degenerate"):
+        AlcovedSpec(ambient_n=4, level_k=4)
+    spec = AlcovedSpec(ambient_n=4, level_k=2)
+    assert spec.bounds == () and spec == AlcovedSpec(4, 2, ())
+    assert repr(Bound(0, 2, upper=1)) == "Bound(i=0, j=2, lower=None, upper=1, box=False)"
+
+
+def test_record_json_shapes():
+    assert Bound(0, 2, upper=1).to_json_dict() == {"i": 0, "j": 2, "b": None, "c": 1}
+    assert spec_for_P2n_flipped(2, {2}).to_json_dict() == {
+        "ambient_n": 6,
+        "level_k": 3,
+        "bounds": [{"i": 0, "j": 2, "b": None, "c": 1}, {"i": 0, "j": 4, "b": 2, "c": None}],
+    }
+    assert ehrhart_volume(spec_for_Pkn(2, 1)).to_json_dict() == {
+        "dimension": 3,
+        "evaluations": [1, 5, 14, 30],
+        "coefficients": ["1/1", "13/6", "3/2", "1/3"],
+        "normalized_volume": 2,
+    }
+    report = verify_subdivision(2, 1)
+    assert report.passed
+    assert report.to_json_dict() == {
+        "k": 2,
+        "n": 1,
+        "piece_volumes": [2, 2],
+        "total_volume": 4,
+        "hypersimplex_volume": 4,
+        "expected_piece_volume": 2,
+        "expected_total_volume": 4,
+        "points_probed": 120,
+        "interior_hits": [63, 55],
+        "piece_symmetry": "pieces 1..1 are images of P_{2,1} under the coordinate rotation by 2*i",
+        "failures": [],
+        "passed": True,
+    }
+    cert = analyze_orbit((2, 4, 1, 5, 3))
+    assert cert.n == 2
+    assert cert.to_json_dict() == {
+        "base": "2 4 1 5 3",
+        "case": "n-plus-one-cyclic-descents",
+        "exceedances": [0, 1, 2],
+        "shifts": [
+            {"start": 1, "permutation": "2 4 1 5 3", "exceedance": 0},
+            {"start": 3, "permutation": "1 5 3 2 4", "exceedance": 1},
+            {"start": 5, "permutation": "3 2 4 1 5", "exceedance": 2},
+        ],
+    }
