@@ -2,12 +2,14 @@
 Alcoved slices of the hypersimplex and the Lam-Postnikov permutation
 count for their normalized volumes.
 
-An AlcovedSpec records a hypersimplex Delta(level_k, ambient_n) together
-with integer lower/upper bounds on prefix sums x_1 + ... + x_j.  Its
-normalized volume equals the number of permutations w in
-S_{ambient_n - 1} with level_k - 1 descents whose prefixes w_1 ... w_j
-respect the bounds as descent-count conditions (Lam-Postnikov, with the
-convention w_0 = 0).
+An AlcovedSpec is the hypersimplex Delta(level_k, ambient_n), the unit
+box 0 <= x_i <= 1 cut by x_1 + ... + x_{ambient_n} = level_k, further
+cut by integer lower/upper bounds on prefix sums x_1 + ... + x_j with
+1 <= j < ambient_n.  The unit box is implicit, so a spec lists only its
+prefix bounds.  Its normalized volume equals the number of permutations
+w in S_{ambient_n - 1} with level_k - 1 descents whose prefixes
+w_1 ... w_j respect the bounds as descent-count conditions
+(Lam-Postnikov, with the convention w_0 = 0).
 """
 from __future__ import annotations
 
@@ -20,16 +22,15 @@ from .permcore import DEFAULT_FACTORIAL_CAP, descent_word_census
 
 
 class Bound(NamedTuple):
-    """b <= x_{i+1} + ... + x_j <= c; either side may be absent (None)."""
+    """lower <= x_1 + ... + x_j <= upper; either side may be absent (None)."""
 
-    i: int
     j: int
     lower: Optional[int] = None
     upper: Optional[int] = None
-    box: bool = False  # unit-box constraint 0 <= x_j <= 1, vacuous for counting
 
     def to_json_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "b": self.lower, "c": self.upper}
+        # "i": 0 keeps the published shape b <= x_{i+1} + ... + x_j <= c
+        return {"i": 0, "j": self.j, "b": self.lower, "c": self.upper}
 
 
 class _SpecFields(NamedTuple):
@@ -39,7 +40,7 @@ class _SpecFields(NamedTuple):
 
 
 class AlcovedSpec(_SpecFields):
-    """Delta(level_k, ambient_n) cut by prefix-anchored (or unit-box) bounds."""
+    """Delta(level_k, ambient_n) cut by bounds on prefix sums."""
 
     __slots__ = ()
 
@@ -49,10 +50,9 @@ class AlcovedSpec(_SpecFields):
                 f"degenerate hypersimplex slice: k = {level_k}, n = {ambient_n}"
             )
         for bd in bounds:
-            if not 0 <= bd.i < bd.j <= ambient_n:
-                raise ValueError(f"bound indices out of range: {bd}")
-            if bd.i != 0 and not bd.box:
-                raise ValueError(f"only prefix-anchored bounds (i = 0) are supported: {bd}")
+            # j = ambient_n would only restate the level sum x_1 + ... = level_k
+            if not 0 < bd.j < ambient_n:
+                raise ValueError(f"bound index out of range 1..{ambient_n - 1}: {bd}")
             if bd.lower is not None and bd.upper is not None and bd.lower > bd.upper:
                 raise ValueError(f"empty bound: {bd}")
         return super().__new__(cls, ambient_n, level_k, bounds)
@@ -61,17 +61,13 @@ class AlcovedSpec(_SpecFields):
         return {
             "ambient_n": self.ambient_n,
             "level_k": self.level_k,
-            "bounds": [bd.to_json_dict() for bd in self.bounds if not bd.box],
+            "bounds": [bd.to_json_dict() for bd in self.bounds],
         }
-
-
-def _box_bounds(n: int) -> tuple[Bound, ...]:
-    return tuple(Bound(i - 1, i, lower=0, upper=1, box=True) for i in range(1, n + 1))
 
 
 def spec_for_hypersimplex(k: int, n: int) -> AlcovedSpec:
     """Delta(k, n): the unit cube sliced at coordinate sum k."""
-    return AlcovedSpec(ambient_n=n, level_k=k, bounds=_box_bounds(n))
+    return AlcovedSpec(ambient_n=n, level_k=k)
 
 
 def spec_for_Pkn(k: int, n: int) -> AlcovedSpec:
@@ -83,10 +79,8 @@ def spec_for_Pkn(k: int, n: int) -> AlcovedSpec:
         raise ValueError("k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    ambient = k * (n + 1)
-    prefix = tuple(Bound(0, k * t, upper=t) for t in range(1, n + 1))
-    return AlcovedSpec(ambient_n=ambient, level_k=n + 1,
-                       bounds=_box_bounds(ambient) + prefix)
+    prefix = tuple(Bound(k * t, upper=t) for t in range(1, n + 1))
+    return AlcovedSpec(ambient_n=k * (n + 1), level_k=n + 1, bounds=prefix)
 
 
 def spec_for_P2n_flipped(n: int, flipped: Iterable[int]) -> AlcovedSpec:
@@ -99,13 +93,11 @@ def spec_for_P2n_flipped(n: int, flipped: Iterable[int]) -> AlcovedSpec:
     T = frozenset(flipped)
     if not T <= set(range(1, n + 1)):
         raise ValueError(f"flip set {sorted(T)} not a subset of 1..{n}")
-    ambient = 2 * (n + 1)
     prefix = tuple(
-        Bound(0, 2 * t, lower=t) if t in T else Bound(0, 2 * t, upper=t)
+        Bound(2 * t, lower=t) if t in T else Bound(2 * t, upper=t)
         for t in range(1, n + 1)
     )
-    return AlcovedSpec(ambient_n=ambient, level_k=n + 1,
-                       bounds=_box_bounds(ambient) + prefix)
+    return AlcovedSpec(ambient_n=2 * (n + 1), level_k=n + 1, bounds=prefix)
 
 
 def _bound_conditions_hold(word: Sequence[int], bounds: Sequence[Bound]) -> bool:
@@ -115,8 +107,6 @@ def _bound_conditions_hold(word: Sequence[int], bounds: Sequence[Bound]) -> bool
     upper side, so each bound reduces to b <= des(w_1..w_j) < c.
     """
     for bd in bounds:
-        if bd.box:
-            continue
         d = sum(word[: bd.j - 1])
         if bd.lower is not None and d < bd.lower:
             return False

@@ -3,13 +3,15 @@ Command-line front end.
 
 Exit codes: 0 success, 1 a verification identity or an internal
 invariant failed, 2 bad arguments or malformed input, 3 scale-cap
-refusal.  All results go to stdout, diagnostics to stderr; identical
-invocations produce byte-identical output.
+refusal, 141 stdout closed by its reader.  All results go to stdout,
+diagnostics to stderr; identical invocations produce byte-identical
+output.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_SCALE_CAP = 3
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 UNCAPPED = 10**9
 
@@ -66,19 +69,16 @@ def _format_parser() -> argparse.ArgumentParser:
 
 def _caps_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--max-factorial-cap", type=int, default=DEFAULT_FACTORIAL_CAP,
-                        help="largest S_m allowed for descent-word counting")
-    parser.add_argument("--max-ambient", type=int, default=DEFAULT_AMBIENT_CAP,
-                        help="largest ambient dimension allowed for lattice-point DP")
-    parser.add_argument("--force", action="store_true",
-                        help="lift the scale caps entirely")
+    parser.add_argument("--force", action="store_true", help=(
+        f"lift the scale caps: S_{DEFAULT_FACTORIAL_CAP} for descent-word counting, "
+        f"{DEFAULT_AMBIENT_CAP} coordinates for the lattice-point DP"))
     return parser
 
 
 def _caps(args) -> tuple[int, int]:
     if args.force:
         return UNCAPPED, UNCAPPED
-    return args.max_factorial_cap, args.max_ambient
+    return DEFAULT_FACTORIAL_CAP, DEFAULT_AMBIENT_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,9 +346,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and leave nothing for the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ScaleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}; pass --force to proceed", file=sys.stderr)
         return EXIT_SCALE_CAP
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)

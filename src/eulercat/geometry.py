@@ -2,11 +2,13 @@
 Independent exact volumes via Ehrhart lattice-point counting.
 
 A dilated alcoved slice is counted by a dynamic program over the running
-prefix sum, each coordinate step one difference of the DP row's own prefix
-sums; the counts at dilations t = 0..d determine the Ehrhart polynomial by
-integer Newton forward differences, and the normalized volume is d! times
-its leading coefficient.  Subdivision probes test integer numerators over
-one common denominator.  Nothing here consults the permutation-counting
+prefix sum.  Every coordinate ranges over the window 0..t of the implicit
+unit box, so each step is one difference of the DP row's own prefix sums,
+and a bound on x_1 + ... + x_j clears the row outside its window after
+step j.  The counts at dilations t = 0..d determine the Ehrhart polynomial
+by integer Newton forward differences, and the normalized volume is d!
+times its leading coefficient.  Subdivision probes test integer numerators
+over one common denominator.  Nothing here consults the permutation-counting
 route, so the two volume computations cross-check each other.
 """
 from __future__ import annotations
@@ -30,26 +32,9 @@ class DegenerateDimensionError(ValueError):
     """The interpolated polynomial has degree < d: the polytope is lower-dimensional."""
 
 
-def _coordinate_ranges(spec: AlcovedSpec, t: int) -> list[tuple[int, int]]:
-    """Per-coordinate integer ranges in the t-fold dilate, from singleton bounds."""
-    ranges = [(0, t)] * spec.ambient_n
-    for bd in spec.bounds:
-        if bd.j - bd.i != 1:
-            continue
-        lo, hi = ranges[bd.j - 1]
-        if bd.lower is not None:
-            lo = max(lo, t * bd.lower)
-        if bd.upper is not None:
-            hi = min(hi, t * bd.upper)
-        ranges[bd.j - 1] = (lo, hi)
-    return ranges
-
-
 def _prefix_checkpoints(spec: AlcovedSpec, t: int) -> dict[int, tuple[int, int]]:
     checkpoints: dict[int, tuple[int, int]] = {}
     for bd in spec.bounds:
-        if bd.j - bd.i == 1:
-            continue
         lo, hi = checkpoints.get(bd.j, (0, t * spec.level_k))
         if bd.lower is not None:
             lo = max(lo, t * bd.lower)
@@ -67,19 +52,16 @@ def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
     target = t * spec.level_k
-    ranges = _coordinate_ranges(spec, t)
     checkpoints = _prefix_checkpoints(spec, t)
 
     # dp[s] = number of ways for the processed prefix to sum to s.  A coordinate
-    # in [lo, hi] maps it to nxt[s] = dp[s-hi] + ... + dp[s-lo] = prefix[s-lo+1] -
-    # prefix[max(s-hi, 0)]: 0 below lo, prefix[s-lo+1] up to hi, two slices above
+    # in [0, t] maps it to nxt[s] = dp[s-t] + ... + dp[s] = prefix[s+1] -
+    # prefix[max(s-t, 0)]: prefix[s+1] up to t, a difference of two slices above
     dp = [1] + [0] * target
-    for index, (lo, hi) in enumerate(ranges, start=1):
-        if lo > min(hi, target):
-            return 0
+    for index in range(1, spec.ambient_n + 1):
         prefix = [0, *itertools.accumulate(dp)]
-        above = zip(prefix[hi - lo + 2 : target - lo + 2], prefix[1:])
-        nxt = [0] * lo + prefix[1 : min(hi, target) - lo + 2] + [a - b for a, b in above]
+        above = zip(prefix[t + 2 : target + 2], prefix[1:])
+        nxt = prefix[1 : min(t, target) + 2] + [a - b for a, b in above]
         if index in checkpoints:
             clo, chi = checkpoints[index]  # 0 <= clo and chi <= target
             below, above = min(clo, target + 1), max(chi + 1, 0)
@@ -143,8 +125,10 @@ def ehrhart_volume(spec: AlcovedSpec, cap: int = DEFAULT_AMBIENT_CAP) -> Ehrhart
         )
     d = spec.ambient_n - 1
     evaluations = tuple(count_dilated_lattice_points(spec, t) for t in range(d + 1))
-    if evaluations[0] != 1:
-        raise ValueError(f"empty or unbounded polytope: h(0) = {evaluations[0]}")
+    # integer bounds make the polytope a lattice polytope: if nonempty, its
+    # vertices are lattice points of the undilated copy (t = 1)
+    if evaluations[1] < 1:
+        raise ValueError(f"empty polytope: h(1) = {evaluations[1]}")
     coeffs = interpolate_at_integers(evaluations)
     if coeffs[d] == 0:
         raise DegenerateDimensionError(
@@ -181,10 +165,10 @@ def _piece_memberships(
 
 
 def _sample_hypersimplex_points(
-    k: int, n: int, count: int, rng: random.Random, denominator: int = PROBE_DENOMINATOR
+    k: int, n: int, count: int, rng: random.Random
 ) -> list[tuple[int, ...]]:
     """Numerators of fixed-seed points of Delta(n+1, k(n+1)) by rejection sampling."""
-    N, level = k * (n + 1), n + 1
+    N, level, denominator = k * (n + 1), n + 1, PROBE_DENOMINATOR
     points, attempts = [], 0
     while len(points) < count and attempts < 200_000:
         attempts += 1
@@ -263,6 +247,8 @@ def verify_subdivision(k: int, n: int, cap: int = DEFAULT_AMBIENT_CAP) -> Subdiv
 
     rng = random.Random(PROBE_SEED)
     points = _sample_hypersimplex_points(k, n, PROBE_SAMPLES, rng)
+    if len(points) < PROBE_SAMPLES:
+        failures.append(f"drew only {len(points)} of {PROBE_SAMPLES} probe points")
     interior_hits = [0] * (n + 1)
     for numerators in points:
         member, interior = _piece_memberships(k, n, numerators, PROBE_DENOMINATOR)

@@ -18,12 +18,10 @@ from .permcore import (
     DEFAULT_FACTORIAL_CAP,
     Permutation,
     as_permutation,
-    check_factorial_cap,
     cyclic_descent_positions,
     cyclic_shift,
     descent_count,
     descent_word_census,
-    enumerate_by_descent_count,
     format_permutation,
 )
 from .paths import (
@@ -126,43 +124,18 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
     return OrbitCertificate(w, case_tag, tuple(shifts), tuple(exceedances))
 
 
-def equidistribution_census(
-    n: int,
-    cap: int = DEFAULT_FACTORIAL_CAP,
-    mode: str = "stream",
-) -> dict[int, int]:
+def equidistribution_census(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> dict[int, int]:
     """
-    Census of w in S_{2n+1} with n descents by exc(L(w)).  Every bucket
-    j = 0..n holds the same count, the Eulerian-Catalan number EC_n.
-
-    mode="stream" sums the descent-word engine over words; mode="orbit"
-    recounts by brute force, one representative per cyclic orbit, as an
-    independent reference.
+    Census of w in S_{2n+1} with n descents by exc(L(w)), summed over
+    ad-words by the descent-word engine.  Every bucket j = 0..n holds the
+    same count, the Eulerian-Catalan number EC_n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    m = 2 * n + 1
-    if mode == "stream":
-        counts: Counter = Counter()
-        for word, count in descent_word_census(m, n, cap).items():
-            counts[exceedance(path_from_word(word))] += count
-    elif mode == "orbit":
-        check_factorial_cap(m, cap)
-        counts = _orbit_census(n)
-    else:
-        raise ValueError(f"unknown census mode {mode!r}")
-    return {j: counts.get(j, 0) for j in range(n + 1)}
-
-
-def _orbit_census(n: int) -> Counter:
     counts: Counter = Counter()
-    for w in enumerate_by_descent_count(2 * n + 1, n):
-        cert = analyze_orbit(w)
-        # count each orbit once, at its lexicographically least listed shift
-        if w == min(shifted for _, shifted in cert.shifts):
-            for exc in cert.exceedances:
-                counts[exc] += 1
-    return counts
+    for word, count in descent_word_census(2 * n + 1, n, cap).items():
+        counts[exceedance(path_from_word(word))] += count
+    return {j: counts.get(j, 0) for j in range(n + 1)}
 
 
 def count_dyck_permutations(

@@ -17,7 +17,7 @@ it counts the permutations behind each word instead of scanning S_m.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DEFAULT_FACTORIAL_CAP, ScaleCapError
 
@@ -72,15 +72,6 @@ def cyclic_shift(w: Sequence[int], r: int) -> Permutation:
     return tuple(w[r - 1:]) + tuple(w[:r - 1])
 
 
-def check_factorial_cap(m: int, cap: int) -> None:
-    """Refuse a computation over S_m when m exceeds the cap."""
-    if m > cap:
-        raise ScaleCapError(
-            f"counting over S_{m} exceeds the cap of S_{cap}; "
-            "raise the cap explicitly to proceed"
-        )
-
-
 def _word_count(word: Sequence[int]) -> int:
     """Number of permutations of [len(word) + 1] whose ad-vector is word."""
     # row[r]: orderings of the entries placed so far that match the word read
@@ -105,7 +96,8 @@ def descent_word_census(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    check_factorial_cap(m, cap)
+    if m > cap:
+        raise ScaleCapError(f"counting over S_{m} exceeds the cap of S_{cap}")
     census = {}
     if not 0 <= d <= m - 1:
         return census
@@ -115,20 +107,6 @@ def descent_word_census(
             word[i] = 1
         census[tuple(word)] = _word_count(word)
     return census
-
-
-def enumerate_by_descent_count(m: int, d: int) -> Iterator[Permutation]:
-    """
-    Lazily yield the permutations of [m] with exactly d descents, in
-    lexicographic order.  Empty stream when d is out of range.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if d < 0 or d > m - 1:
-        return
-    for w in itertools.permutations(range(1, m + 1)):
-        if descent_count(w) == d:
-            yield w
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from eulercat import alcoved, geometry, numbers, orbit, paths
-from eulercat.permcore import enumerate_by_descent_count
+from oracles import enumerate_by_descent_count
 
 ROOT = Path(__file__).resolve().parent.parent
 

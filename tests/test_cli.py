@@ -1,11 +1,13 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from eulercat import geometry
-from eulercat.cli import main
+from eulercat.cli import build_parser, main
 from eulercat.numbers import eulerian_catalan
 
 
@@ -140,8 +142,7 @@ def test_scale_cap_refusal(capsys):
     assert code == 0 and out.splitlines()[1:] == [f"{j},{eulerian_catalan(7)}" for j in range(8)]
     code, out, err = run_cli(capsys, "census", "--n", "8")
     assert code == 3 and out == ""
-    assert err == "error: counting over S_17 exceeds the cap of S_15; " \
-        "raise the cap explicitly to proceed\n"
+    assert err == "error: counting over S_17 exceeds the cap of S_15; pass --force to proceed\n"
 
 
 def test_force_lifts_the_cap(capsys):
@@ -149,6 +150,7 @@ def test_force_lifts_the_cap(capsys):
     code, _, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "3",
                            "--n", "10")
     assert code == 3
+    assert err == "error: ambient dimension 33 exceeds the cap of 32; pass --force to proceed\n"
     code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", "3",
                            "--n", "10", "--force", "--format", "json")
     assert code == 0
@@ -173,16 +175,52 @@ def test_byte_identical_reruns():
 
 
 def test_caps_are_taken_only_where_read(capsys):
+    # the caps are constants; --force, the one way past them, exists only where a cap is read
     for argv in (("ec", "--max-n", "2", "--force"),
-                 ("orbit", "2", "1", "3", "--max-factorial-cap", "5")):
+                 ("orbit", "2", "1", "3", "--force"),
+                 ("census", "--n", "2", "--max-factorial-cap", "5"),
+                 ("volume", "--shape", "pkn", "--k", "2", "--n", "2", "--max-ambient", "40")):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-    code, out, _ = run_cli(capsys, "census", "--n", "2", "--max-factorial-cap", "5",
-                           "--format", "csv")
+    code, out, _ = run_cli(capsys, "census", "--n", "2", "--force", "--format", "csv")
     assert code == 0 and out == "exceedance,count\n0,22\n1,22\n2,22\n"
-    code, _, _ = run_cli(capsys, "census", "--n", "3", "--max-factorial-cap", "5")
-    assert code == 3
+
+
+def test_option_surface_is_pinned():
+    # every option is one more configuration to test and benchmark: adding one changes this
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {s for a in sub._actions for s in a.option_strings or [a.dest]} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert surface == {
+        "eulerian-row": {"--n", "--format"},
+        "ec": {"--max-n", "--format"},
+        "fuss": {"--k", "--n", "--format"},
+        "catalan": {"--max-n", "--format"},
+        "dyck-count": {"--n", "--k", "--format", "--force"},
+        "census": {"--n", "--by-position", "--format", "--force"},
+        "orbit": {"word", "--format"},
+        "volume": {"--shape", "--k", "--n", "--flip", "--format", "--force"},
+        "verify": {"target", "--n", "--k", "--format", "--force"},
+    }
+
+
+def test_closed_stdout_exits_141_quietly():
+    # like `eulercat verify ... | head -n 1`, with the reader gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "eulercat.cli", "verify", "census-vs-volumes", "--n", "2"],
+            stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == b""
 
 
 def test_overlapping_probe_exits_1(capsys, monkeypatch):
@@ -192,6 +230,15 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1
     assert out.startswith("FAIL") and "is interior to piece 0 but also in piece 1" in out
+
+
+def test_probe_shortfall_exits_1(capsys, monkeypatch):
+    real = geometry._sample_hypersimplex_points
+    monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
+                        lambda k, n, count, rng: real(k, n, count, rng)[:3])
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
+    assert code == 1
+    assert out.startswith("FAIL") and "drew only 3 of 120 probe points" in out
 
 
 def test_invariant_failure_exits_1(capsys, monkeypatch):

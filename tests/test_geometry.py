@@ -35,7 +35,7 @@ def naive_lattice_count(spec, t):
             continue
         ok = True
         for b in spec.bounds:
-            s = sum(x[b.i:b.j])
+            s = sum(x[:b.j])
             if b.lower is not None and s < t * b.lower:
                 ok = False
             if b.upper is not None and s > t * b.upper:
@@ -94,9 +94,9 @@ def test_dp_agrees_with_naive_enumeration(spec, t):
 
 
 def _pinned(ambient_n, level_k, j, extra=()):
-    # AlcovedSpec accepts i > 0 only on box bounds; the DP reads every
-    # singleton bound as a coordinate range, so this pins x_j to the dilation t
-    bound = Bound(j - 1, j, lower=1, upper=1, box=j > 1)
+    # pins the prefix sum x_1 + ... + x_j to the dilation t: a checkpoint window
+    # of width 0
+    bound = Bound(j, lower=1, upper=1)
     return AlcovedSpec(ambient_n=ambient_n, level_k=level_k, bounds=(bound, *extra))
 
 
@@ -106,13 +106,13 @@ def _pinned(ambient_n, level_k, j, extra=()):
         spec_for_P2n_flipped(2, {1, 2}),  # lower bounds on prefix checkpoints
         _pinned(4, 2, 1),
         _pinned(4, 2, 3),
-        _pinned(5, 2, 4, (Bound(0, 2, upper=1),)),
-        _pinned(5, 3, 2, (Bound(0, 3, lower=1), Bound(0, 4, upper=2))),
-        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 1, lower=2),)),  # empty range
+        _pinned(5, 2, 4, (Bound(2, upper=1),)),
+        _pinned(5, 3, 2, (Bound(3, lower=1), Bound(4, upper=2))),
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, lower=2),)),  # empty window
         # checkpoint windows reaching past either end of the DP row
-        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 2, lower=3),)),
-        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 2, upper=-1),)),
-        AlcovedSpec(ambient_n=5, level_k=2, bounds=(Bound(0, 3, lower=2, upper=2),)),
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, lower=3),)),
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, upper=-1),)),
+        AlcovedSpec(ambient_n=5, level_k=2, bounds=(Bound(3, lower=2, upper=2),)),
     ],
     ids=["p22-flipped-12", "pin-1", "pin-3", "pin-4-cut", "pin-2-window", "empty",
          "cut-above-level", "cut-below-zero", "cut-at-level"],
@@ -120,12 +120,6 @@ def _pinned(ambient_n, level_k, j, extra=()):
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
 def test_dp_agrees_with_naive_enumeration_on_lower_bounds(spec, t):
     assert count_dilated_lattice_points(spec, t) == naive_lattice_count(spec, t)
-
-
-def test_dp_rejects_general_interval_bounds():
-    with pytest.raises(ValueError):
-        spec = AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, 3, upper=1),))
-        count_dilated_lattice_points(spec, 1)
 
 
 def test_interpolation_is_exact():
@@ -166,11 +160,41 @@ def test_ehrhart_held_out_dilation():
     assert eval_poly(record.coefficients, t) == count_dilated_lattice_points(spec, t)
 
 
+def test_ehrhart_empty_polytope_is_refused():
+    # Delta(2, 3) with x_1 + x_2 <= 0 is empty; its t = 0 dilate is still {0}
+    spec = AlcovedSpec(ambient_n=3, level_k=2, bounds=(Bound(2, upper=0),))
+    with pytest.raises(ValueError, match=r"empty polytope: h\(1\) = 0"):
+        ehrhart_volume(spec)
+
+
+@st.composite
+def prefix_bound_specs(draw):
+    ambient_n = draw(st.integers(2, 9))
+    bounds = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(1, ambient_n - 1))
+        lower, upper = (draw(st.none() | st.integers(-1, j + 1)) for _ in range(2))
+        if lower is not None and upper is not None and lower > upper:
+            lower, upper = upper, lower
+        bounds.append(Bound(j, lower, upper))
+    return AlcovedSpec(ambient_n, draw(st.integers(1, ambient_n - 1)), tuple(bounds))
+
+
+@given(prefix_bound_specs())
+def test_w_set_count_is_the_ehrhart_volume(spec):
+    # the two routes read one spec as one polytope: the permutation count is its
+    # normalized volume, and 0 where the lattice count finds it empty or flat
+    try:
+        volume = ehrhart_volume(spec).normalized_volume
+    except ValueError as exc:
+        assert isinstance(exc, DegenerateDimensionError) or "empty polytope" in str(exc)
+        volume = 0
+    assert w_set_count(spec) == volume
+
+
 def test_ehrhart_degenerate_polytope_is_reported():
     # x_1 pinned to the dilation level: a point, not a 2-dimensional body
-    spec = AlcovedSpec(
-        ambient_n=3, level_k=1, bounds=(Bound(0, 1, lower=1, upper=1),)
-    )
+    spec = AlcovedSpec(ambient_n=3, level_k=1, bounds=(Bound(1, lower=1, upper=1),))
     with pytest.raises(DegenerateDimensionError):
         ehrhart_volume(spec)
 
@@ -234,6 +258,15 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
         f"point {point} is interior to piece 1 but also in piece 0",
     )
     assert report.points_probed == len(seen) == geometry.PROBE_SAMPLES
+
+
+def test_probe_shortfall_fails(monkeypatch):
+    real = geometry._sample_hypersimplex_points
+    monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
+                        lambda k, n, count, rng: real(k, n, count, rng)[:3])
+    report = verify_subdivision(2, 1)
+    assert report.failures == ("drew only 3 of 120 probe points",)
+    assert report.points_probed == 3
 
 
 def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):

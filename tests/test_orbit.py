@@ -10,7 +10,8 @@ from eulercat.orbit import (
     dyck_to_s2n_bijection,
     equidistribution_census,
 )
-from eulercat.permcore import descent_count, enumerate_by_descent_count
+from eulercat.permcore import descent_count
+from oracles import enumerate_by_descent_count, orbit_census
 
 
 def test_analyze_orbit_example_213():
@@ -65,14 +66,12 @@ def test_census_partitions_the_central_descent_class(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_mode_census_agrees_with_streaming(n):
-    assert equidistribution_census(n, mode="orbit") == equidistribution_census(n)
+    assert orbit_census(n) == equidistribution_census(n)
 
 
 def test_census_scale_cap():
     with pytest.raises(ScaleCapError):
         equidistribution_census(8)  # S_17
-    with pytest.raises(ValueError):
-        equidistribution_census(2, mode="bogus")
 
 
 def test_count_dyck_permutations_examples():

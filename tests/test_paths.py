@@ -21,7 +21,8 @@ from eulercat.paths import (
     word_from_string,
     word_to_string,
 )
-from eulercat.permcore import complement, enumerate_by_descent_count
+from eulercat.permcore import complement
+from oracles import enumerate_by_descent_count
 
 from conftest import permutations_st
 

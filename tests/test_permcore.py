@@ -14,12 +14,12 @@ from eulercat.permcore import (
     descent_count,
     descent_positions,
     descent_word_census,
-    enumerate_by_descent_count,
     format_permutation,
     parse_permutation,
 )
 
 from eulercat.errors import ScaleCapError
+from oracles import enumerate_by_descent_count
 
 from conftest import permutations_st, perms_of
 

@@ -8,18 +8,18 @@ from eulercat.orbit import analyze_orbit
 
 def test_alcoved_spec_validates_at_construction():
     with pytest.raises(ValueError, match="empty bound"):
-        AlcovedSpec(4, 2, (Bound(0, 2, lower=2, upper=1),))
+        AlcovedSpec(4, 2, (Bound(2, lower=2, upper=1),))
     with pytest.raises(ValueError, match="out of range"):
-        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(0, 5, upper=1),))
+        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(5, upper=1),))
     with pytest.raises(ValueError, match="degenerate"):
         AlcovedSpec(ambient_n=4, level_k=4)
     spec = AlcovedSpec(ambient_n=4, level_k=2)
     assert spec.bounds == () and spec == AlcovedSpec(4, 2, ())
-    assert repr(Bound(0, 2, upper=1)) == "Bound(i=0, j=2, lower=None, upper=1, box=False)"
+    assert repr(Bound(2, upper=1)) == "Bound(j=2, lower=None, upper=1)"
 
 
 def test_record_json_shapes():
-    assert Bound(0, 2, upper=1).to_json_dict() == {"i": 0, "j": 2, "b": None, "c": 1}
+    assert Bound(2, upper=1).to_json_dict() == {"i": 0, "j": 2, "b": None, "c": 1}
     assert spec_for_P2n_flipped(2, {2}).to_json_dict() == {
         "ambient_n": 6,
         "level_k": 3,
