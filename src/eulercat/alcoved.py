@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .paths import exceedance_positions, path_from_word
+from .paths import exceedance_positions
 from .permcore import DEFAULT_FACTORIAL_CAP, descent_word_census
 
 
@@ -155,7 +155,7 @@ def exceedance_position_census(
         raise ValueError("n must be >= 1")
     counts: Counter = Counter()
     for word, count in descent_word_census(2 * n + 1, n, cap).items():
-        counts[exceedance_positions(path_from_word(word))] += count
+        counts[exceedance_positions(word)] += count
     return {
         T: counts.get(frozenset(t - 1 for t in T), 0) for T in all_subsets(n)
     }

@@ -135,78 +135,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eulerian_row(args) -> int:
+def _cmd_eulerian_row(args) -> tuple[int, str]:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     rows = [[m, count] for m, count in enumerate(numbers.eulerian_row(args.n))]
-    sys.stdout.write(render_table(["m", "count"], rows, args.format))
-    return EXIT_OK
+    return EXIT_OK, render_table(["m", "count"], rows, args.format)
 
 
-def _cmd_ec(args) -> int:
+def _cmd_ec(args) -> tuple[int, str]:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     rows = [[n, ec] for n, ec in enumerate(numbers.eulerian_catalan_upto(args.max_n))]
-    sys.stdout.write(render_table(["n", "ec"], rows, args.format))
-    return EXIT_OK
+    return EXIT_OK, render_table(["n", "ec"], rows, args.format)
 
 
-def _cmd_fuss(args) -> int:
+def _cmd_fuss(args) -> tuple[int, str]:
     rows = [[args.k, args.n, numbers.fuss_eulerian_catalan(args.k, args.n)]]
-    sys.stdout.write(render_table(["k", "n", "count"], rows, args.format))
-    return EXIT_OK
+    return EXIT_OK, render_table(["k", "n", "count"], rows, args.format)
 
 
-def _cmd_catalan(args) -> int:
+def _cmd_catalan(args) -> tuple[int, str]:
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     rows = [[n, numbers.catalan(n)] for n in range(args.max_n + 1)]
-    sys.stdout.write(render_table(["n", "catalan"], rows, args.format))
-    return EXIT_OK
+    return EXIT_OK, render_table(["n", "catalan"], rows, args.format)
 
 
-def _cmd_dyck_count(args) -> int:
+def _cmd_dyck_count(args) -> tuple[int, str]:
     from . import orbit
 
     cap, _ = _caps(args)
     count = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
     rows = [[args.n, args.k, count]]
-    sys.stdout.write(render_table(["n", "k", "count"], rows, args.format))
-    return EXIT_OK
+    return EXIT_OK, render_table(["n", "k", "count"], rows, args.format)
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[int, str]:
     cap, _ = _caps(args)
     if args.by_position:
         from . import alcoved
 
         census = alcoved.exceedance_position_census(args.n, cap=cap)
         rows = [[alcoved.subset_key(T), count] for T, count in census.items()]
-        sys.stdout.write(render_table(["positions", "count"], rows, args.format))
-    else:
-        from . import orbit
-
-        census = orbit.equidistribution_census(args.n, cap=cap)
-        rows = [[j, count] for j, count in sorted(census.items())]
-        sys.stdout.write(render_table(["exceedance", "count"], rows, args.format))
-    return EXIT_OK
-
-
-def _cmd_orbit(args) -> int:
+        return EXIT_OK, render_table(["positions", "count"], rows, args.format)
     from . import orbit
-    from .permcore import as_permutation
 
-    cert = orbit.analyze_orbit(as_permutation(args.word))
+    census = orbit.equidistribution_census(args.n, cap=cap)
+    rows = [[j, count] for j, count in sorted(census.items())]
+    return EXIT_OK, render_table(["exceedance", "count"], rows, args.format)
+
+
+def _cmd_orbit(args) -> tuple[int, str]:
+    from . import orbit
+
+    cert = orbit.analyze_orbit(args.word)
     if args.format == "json":
-        sys.stdout.write(render_json(cert.to_json_dict()))
-        return EXIT_OK
+        return EXIT_OK, render_json(cert.to_json_dict())
     rows = [
         [start, " ".join(str(v) for v in w), exc]
         for (start, w), exc in zip(cert.shifts, cert.exceedances)
     ]
-    sys.stdout.write(f"case: {cert.case_tag}\n")
-    sys.stdout.write(render_table(["start", "shift", "exceedance"], rows, args.format))
-    return EXIT_OK
+    table = render_table(["start", "shift", "exceedance"], rows, args.format)
+    return EXIT_OK, f"case: {cert.case_tag}\n{table}"
 
 
 def _parse_flip(text: str, n: int) -> frozenset[int]:
@@ -237,20 +227,18 @@ def _volume_spec(args) -> AlcovedSpec:
     return alcoved.spec_for_Pkn(args.k, args.n)
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args) -> tuple[int, str]:
     from . import geometry
 
     _, ambient_cap = _caps(args)
     spec = _volume_spec(args)
     record = geometry.ehrhart_volume(spec, cap=ambient_cap)
     if args.format == "json":
-        sys.stdout.write(render_json(
+        return EXIT_OK, render_json(
             {"spec": spec.to_json_dict(), "ehrhart": record.to_json_dict()}
-        ))
-        return EXIT_OK
+        )
     rows = [[args.shape, record.dimension, record.normalized_volume]]
-    sys.stdout.write(render_table(["shape", "dimension", "volume"], rows, args.format))
-    return EXIT_OK
+    return EXIT_OK, render_table(["shape", "dimension", "volume"], rows, args.format)
 
 
 def _verify_equidistribution(args, cap: int) -> tuple[bool, dict]:
@@ -308,7 +296,7 @@ def _verify_census_vs_volumes(args, cap: int, ambient_cap: int) -> tuple[bool, d
     }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     cap, ambient_cap = _caps(args)
     if args.target == "equidistribution":
         ok, report = _verify_equidistribution(args, cap)
@@ -319,14 +307,25 @@ def _cmd_verify(args) -> int:
     else:
         ok, report = _verify_census_vs_volumes(args, cap, ambient_cap)
     report["status"] = "PASS" if ok else "FAIL"
+    code = EXIT_OK if ok else EXIT_VERIFY_FAILED
     if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(f"{report['status']} {args.target}\n")
-        for key in sorted(report):
-            if key not in ("status", "target"):
-                sys.stdout.write(f"  {key}: {report[key]}\n")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        return code, render_json(report)
+    lines = [f"{report['status']} {args.target}\n"]
+    lines += [f"  {key}: {report[key]}\n" for key in sorted(report)
+              if key not in ("status", "target")]
+    return code, "".join(lines)
+
+
+def _write_stdout(text: str) -> None:
+    """Write every byte of text, so that a closed reader raises BrokenPipeError here."""
+    # under PYTHONUNBUFFERED the text layer writes straight to the raw file and
+    # drops what a short write(2) leaves over, so write the bytes until all are out,
+    # after whatever the text layer still holds
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
+    sys.stdout.buffer.flush()
 
 
 _DISPATCH = {
@@ -346,8 +345,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _DISPATCH[args.command](args)
-        sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
+        code, text = _DISPATCH[args.command](args)
+        _write_stdout(text)
         return code
     except BrokenPipeError:
         # the reader has gone: end quietly, and leave nothing for the exit-time flush

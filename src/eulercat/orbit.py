@@ -1,7 +1,6 @@
 """
 Cyclic-orbit analysis of permutations with n descents in S_{2n+1}:
-exceedance equidistribution, Dyck-permutation counting, and the
-shift-and-delete bijection onto S_{2n}.
+exceedance equidistribution and Dyck-permutation counting.
 
 Among the 2n+1 cyclic shifts of a permutation with n descents, exactly
 n+1 have n descents, and the lattice paths of those n+1 shifts realize
@@ -17,6 +16,7 @@ from .errors import InvariantError
 from .permcore import (
     DEFAULT_FACTORIAL_CAP,
     Permutation,
+    ad_vector,
     as_permutation,
     cyclic_descent_positions,
     cyclic_shift,
@@ -24,13 +24,7 @@ from .permcore import (
     descent_word_census,
     format_permutation,
 )
-from .paths import (
-    exceedance,
-    is_dyck_permutation,
-    is_k_ballot,
-    path_from_perm,
-    path_from_word,
-)
+from .paths import exceedance, is_k_ballot
 
 CASE_N = "n-cyclic-descents"
 CASE_N_PLUS_ONE = "n-plus-one-cyclic-descents"
@@ -111,7 +105,7 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
             if d != n:
                 raise InvariantError(f"listed shift {shifted} has {d} descents")
             shifts.append((r, shifted))
-            exceedances.append(exceedance(path_from_perm(shifted)))
+            exceedances.append(exceedance(ad_vector(shifted)))
         elif d != other_descents:
             raise InvariantError(
                 f"unlisted shift {shifted} has {d} descents, expected {other_descents}"
@@ -134,7 +128,7 @@ def equidistribution_census(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> dict[in
         raise ValueError("n must be >= 0")
     counts: Counter = Counter()
     for word, count in descent_word_census(2 * n + 1, n, cap).items():
-        counts[exceedance(path_from_word(word))] += count
+        counts[exceedance(word)] += count
     return {j: counts.get(j, 0) for j in range(n + 1)}
 
 
@@ -153,27 +147,3 @@ def count_dyck_permutations(
         raise ValueError("n must be >= 0")
     census = descent_word_census(k * n + k - 1, n, cap)
     return sum(count for word, count in census.items() if is_k_ballot(word, k - 1))
-
-
-def dyck_to_s2n_bijection(word: Sequence[int]) -> Permutation:
-    """
-    Cycle a Dyck permutation of S_{2n+1} until the value 2n+1 is last,
-    then delete it, landing in S_{2n} with n-1 or n descents.
-    """
-    w = as_permutation(word)
-    m = len(w)
-    if m % 2 == 0 or m < 3:
-        raise ValueError(f"expected odd length >= 3, got m = {m}")
-    n = (m - 1) // 2
-    if descent_count(w) != n:
-        raise ValueError(f"expected {n} descents, got {descent_count(w)}")
-    if not is_dyck_permutation(w, 1):
-        raise ValueError(f"{w} is not a Dyck permutation")
-    pos = w.index(m) + 1  # 1-based position of the maximum
-    shifted = cyclic_shift(w, pos % m + 1)
-    if shifted[-1] != m:
-        raise InvariantError(f"shift {shifted} does not end in the maximum {m}")
-    image = shifted[:-1]
-    if descent_count(image) not in (n - 1, n):
-        raise InvariantError(f"bijection image {image} has bad descent count")
-    return image

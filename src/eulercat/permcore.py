@@ -58,12 +58,6 @@ def ad_vector(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(1 if w[i] > w[i + 1] else 0 for i in range(len(w) - 1))
 
 
-def complement(w: Sequence[int]) -> Permutation:
-    """Value-complement v -> m+1-v.  An involution; flips every ascent/descent."""
-    m = len(w)
-    return tuple(m + 1 - v for v in w)
-
-
 def cyclic_shift(w: Sequence[int], r: int) -> Permutation:
     """The rotation w_r w_{r+1} ... w_m w_1 ... w_{r-1}, for 1 <= r <= m."""
     m = len(w)
@@ -107,15 +101,6 @@ def descent_word_census(
             word[i] = 1
         census[tuple(word)] = _word_count(word)
     return census
-
-
-def parse_permutation(text: str) -> Permutation:
-    """Parse the space-separated one-line notation used by the CLI."""
-    try:
-        values = [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse permutation from {text!r}") from exc
-    return as_permutation(values)
 
 
 def format_permutation(w: Sequence[int]) -> str:

@@ -1,9 +1,14 @@
-"""Brute-force references over S_m that the tests compare the engines against."""
+"""
+Brute-force references over S_m that the tests compare the engines
+against, and the Chung-Feller machinery on 0/1 words (0 = East, 1 = North)
+that only the tests run.
+"""
 import itertools
 from collections import Counter
 
 from eulercat.orbit import analyze_orbit
-from eulercat.permcore import descent_count
+from eulercat.paths import is_k_ballot
+from eulercat.permcore import ad_vector, as_permutation, cyclic_shift, descent_count
 
 
 def enumerate_by_descent_count(m, d):
@@ -33,3 +38,83 @@ def orbit_census(n):
             for exc in cert.exceedances:
                 counts[exc] += 1
     return {j: counts.get(j, 0) for j in range(n + 1)}
+
+
+def complement(w):
+    """Value-complement v -> m+1-v.  An involution; flips every ascent/descent."""
+    m = len(w)
+    return tuple(m + 1 - v for v in w)
+
+
+def is_dyck_permutation(w, k=1):
+    """True iff ad(w) is a k-ballot word (the raw k-Dyck path condition)."""
+    return is_k_ballot(ad_vector(w), k)
+
+
+def enumerate_diagonal_paths(n):
+    """All C(2n, n) words with n zeros and n ones, lexicographic."""
+    for zeros in itertools.combinations(range(2 * n), n):
+        word = [1] * (2 * n)
+        for i in zeros:
+            word[i] = 0
+        yield tuple(word)
+
+
+def h_step_vector(word):
+    """c_i = number of East steps taken while at height y = i, for i = 0..n."""
+    n = sum(word)
+    if 2 * n != len(word):
+        raise ValueError(f"path {word} does not end on the diagonal")
+    counts = [0] * (n + 1)
+    y = 0
+    for step in word:
+        if step:
+            y += 1
+        else:
+            counts[y] += 1
+    return tuple(counts)
+
+
+def path_from_h_vector(counts):
+    """
+    The unique diagonal word with counts[i] East steps at height i:
+    0^c_0 1 0^c_1 1 ... 1 0^c_n.
+    """
+    n = len(counts) - 1
+    if n < 0 or any(c < 0 for c in counts) or sum(counts) != n:
+        raise ValueError(f"not an h-step vector of counts >= 0 summing to n: {counts}")
+    word = [0] * counts[0]
+    for c in counts[1:]:
+        word += [1] + [0] * c
+    return tuple(word)
+
+
+def chung_feller_orbit(word):
+    """
+    The n+1 words whose h-step vectors are the cyclic rotations of this
+    word's vector.  Their exceedances are 0..n in some order.
+    """
+    c = h_step_vector(word)
+    return tuple(path_from_h_vector(c[j:] + c[:j]) for j in range(len(c)))
+
+
+def dyck_to_s2n_bijection(word):
+    """
+    Cycle a Dyck permutation of S_{2n+1} until the value 2n+1 is last,
+    then delete it, landing in S_{2n} with n-1 or n descents.
+    """
+    w = as_permutation(word)
+    m = len(w)
+    if m % 2 == 0 or m < 3:
+        raise ValueError(f"expected odd length >= 3, got m = {m}")
+    n = (m - 1) // 2
+    if descent_count(w) != n:
+        raise ValueError(f"expected {n} descents, got {descent_count(w)}")
+    if not is_dyck_permutation(w, 1):
+        raise ValueError(f"{w} is not a Dyck permutation")
+    pos = w.index(m) + 1  # 1-based position of the maximum
+    shifted = cyclic_shift(w, pos % m + 1)
+    assert shifted[-1] == m, f"shift {shifted} does not end in the maximum {m}"
+    image = shifted[:-1]
+    assert descent_count(image) in (n - 1, n), f"bijection image {image} has bad descent count"
+    return image

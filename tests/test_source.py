@@ -3,6 +3,8 @@ from pathlib import Path
 
 import eulercat
 
+SOURCES = sorted(Path(eulercat.__file__).parent.glob("*.py"))
+
 
 def _raises_assertion_error(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -12,13 +14,36 @@ def _raises_assertion_error(node):
 def test_no_bare_assert_in_package():
     # `python -O` strips assert statements; invariants must raise explicitly, and
     # as errors.InvariantError, which the CLI maps to exit 1
-    sources = sorted(Path(eulercat.__file__).parent.glob("*.py"))
-    assert {p.name for p in sources} >= {"cli.py", "geometry.py", "numbers.py"}
+    assert {p.name for p in SOURCES} >= {"cli.py", "geometry.py", "numbers.py"}
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sources
+        for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
         or isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def _names(node):
+    """Every name node mentions as a variable or attribute; docstrings are not names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_function_runs_in_src():
+    # a public function that no src code names outside its own def runs in no
+    # command: it is test scaffolding and belongs in tests/oracles.py
+    defined, named = {}, set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = None
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                own = node.name
+                defined[own] = f"{path.name}:{node.lineno} {own}"
+            named.update(name for name in _names(node) if name != own)
+    assert "analyze_orbit" in defined
+    assert sorted(where for name, where in defined.items() if name not in named) == []
