@@ -17,8 +17,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .paths import exceedance_positions
-from .permcore import DEFAULT_FACTORIAL_CAP, descent_word_census
+from .errors import DEFAULT_FACTORIAL_CAP
 
 
 class Bound(NamedTuple):
@@ -121,6 +120,8 @@ def w_set_count(spec: AlcovedSpec, cap: int = DEFAULT_FACTORIAL_CAP) -> int:
     descents meeting every bound condition.  Equals the normalized
     volume of the alcoved polytope.
     """
+    from .permcore import descent_word_census
+
     census = descent_word_census(spec.ambient_n - 1, spec.level_k - 1, cap)
     return sum(
         count for word, count in census.items()
@@ -153,6 +154,9 @@ def exceedance_position_census(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .paths import exceedance_positions
+    from .permcore import descent_word_census
+
     counts: Counter = Counter()
     for word, count in descent_word_census(2 * n + 1, n, cap).items():
         counts[exceedance_positions(word)] += count

@@ -2,26 +2,36 @@
 Independent exact volumes via Ehrhart lattice-point counting.
 
 A dilated alcoved slice is counted by a dynamic program over the running
-prefix sum.  Every coordinate ranges over the window 0..t of the implicit
-unit box, so each step is one difference of the DP row's own prefix sums,
-and a bound on x_1 + ... + x_j clears the row outside its window after
-step j.  The counts at dilations t = 0..d determine the Ehrhart polynomial
-by integer Newton forward differences, and the normalized volume is d!
-times its leading coefficient.  Subdivision probes test integer numerators
-over one common denominator.  Nothing here consults the permutation-counting
-route, so the two volume computations cross-check each other.
+prefix sum.  One forward and one backward pass first give each step i the
+band [lo_i, hi_i] of sums x_1 + ... + x_i that lie on some lattice point:
+reachable from 0 in steps of 0..t, still able to reach t * level_k, and
+inside every prefix bound.  The DP row at step i holds exactly that band,
+so a dilation costs the sum of its window widths, and each step is one
+difference of the previous row's prefix sums.  An empty dilate shows as a
+crossed window, lo_i > hi_i, and runs no DP.  The counts at dilations
+t = 0..d determine the Ehrhart polynomial by integer Newton forward
+differences, and the normalized volume is d! times its leading
+coefficient.  Subdivision probes are exactly uniform lattice points of the
+dilated hypersimplex, drawn by inverse CDF from the same DP's prefix
+tables, and are tested as integer numerators over one common denominator.
+Nothing here consults the permutation-counting route, so the two volume
+computations cross-check each other.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import random
+import operator
+from bisect import bisect_right
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
 from .errors import DEFAULT_AMBIENT_CAP, InvariantError, ScaleCapError
 from .numbers import eulerian, fuss_eulerian_catalan
+
+if TYPE_CHECKING:
+    import random
 
 PROBE_SAMPLES = 120
 PROBE_SEED = 271828
@@ -32,16 +42,49 @@ class DegenerateDimensionError(ValueError):
     """The interpolated polynomial has degree < d: the polytope is lower-dimensional."""
 
 
-def _prefix_checkpoints(spec: AlcovedSpec, t: int) -> dict[int, tuple[int, int]]:
-    checkpoints: dict[int, tuple[int, int]] = {}
+def _windows(spec: AlcovedSpec, t: int) -> list[tuple[int, int]]:
+    """
+    The band [lo_i, hi_i] of prefix sums x_1 + ... + x_i, i = 0..N, that lie
+    on some lattice point of the t-fold dilate.  A forward pass keeps the
+    sums reachable from 0 in steps of 0..t within every bound, a backward
+    pass those that can still reach t * level_k.  An empty dilate shows as
+    a crossed window, lo_i > hi_i.
+    """
+    target = t * spec.level_k
+    clamps = [(0, target)] * spec.ambient_n + [(target, target)]
     for bd in spec.bounds:
-        lo, hi = checkpoints.get(bd.j, (0, t * spec.level_k))
+        lo, hi = clamps[bd.j]
         if bd.lower is not None:
             lo = max(lo, t * bd.lower)
         if bd.upper is not None:
             hi = min(hi, t * bd.upper)
-        checkpoints[bd.j] = (lo, hi)
-    return checkpoints
+        clamps[bd.j] = (lo, hi)
+    windows = [(0, 0)]
+    for clo, chi in clamps[1:]:
+        lo, hi = windows[-1]
+        windows.append((max(lo, clo), min(hi + t, chi)))
+    for i in range(spec.ambient_n - 1, -1, -1):
+        (lo, hi), (nlo, nhi) = windows[i], windows[i + 1]
+        windows[i] = (max(lo, nlo - t), min(hi, nhi))
+    return windows
+
+
+def _dp_step(
+    row: list[int], t: int, previous: tuple[int, int], window: tuple[int, int]
+) -> tuple[list[int], list[int]]:
+    """
+    One coordinate x_i in 0..t.  row counts the sums of window i-1 (previous).
+    The returned prefix holds its prefix sums over the row padded with zeros
+    to the sums lo_i - t .. hi_i, so the next row counts sum s as the
+    difference prefix[s - lo_i + t + 1] - prefix[s - lo_i].  Both paddings
+    are 0..t wide, because tight windows move by 0..t per step.
+    Returns (prefix, next row).
+    """
+    (plo, phi), (lo, hi) = previous, window
+    prefix = [0] * (plo - lo + t + 1)
+    prefix += itertools.accumulate(row)
+    prefix += [prefix[-1]] * (hi - phi)
+    return prefix, list(map(operator.sub, prefix[t + 1 :], prefix))
 
 
 def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
@@ -51,24 +94,13 @@ def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    target = t * spec.level_k
-    checkpoints = _prefix_checkpoints(spec, t)
-
-    # dp[s] = number of ways for the processed prefix to sum to s.  A coordinate
-    # in [0, t] maps it to nxt[s] = dp[s-t] + ... + dp[s] = prefix[s+1] -
-    # prefix[max(s-t, 0)]: prefix[s+1] up to t, a difference of two slices above
-    dp = [1] + [0] * target
-    for index in range(1, spec.ambient_n + 1):
-        prefix = [0, *itertools.accumulate(dp)]
-        above = zip(prefix[t + 2 : target + 2], prefix[1:])
-        nxt = prefix[1 : min(t, target) + 2] + [a - b for a, b in above]
-        if index in checkpoints:
-            clo, chi = checkpoints[index]  # 0 <= clo and chi <= target
-            below, above = min(clo, target + 1), max(chi + 1, 0)
-            nxt[:below] = [0] * below
-            nxt[above:] = [0] * (target + 1 - above)
-        dp = nxt
-    return dp[target]
+    windows = _windows(spec, t)
+    if any(lo > hi for lo, hi in windows):
+        return 0
+    row = [1]
+    for previous, window in zip(windows, windows[1:]):
+        row = _dp_step(row, t, previous, window)[1]
+    return row[0]
 
 
 def interpolate_at_integers(values: Sequence[int]) -> list[Fraction]:
@@ -93,10 +125,12 @@ def interpolate_at_integers(values: Sequence[int]) -> list[Fraction]:
 
 
 def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
+    # Horner on integer numerators over the coefficients' common denominator
+    denominator = math.lcm(*(c.denominator for c in coeffs))
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * x + c.numerator * (denominator // c.denominator)
+    return Fraction(acc, denominator)
 
 
 class EhrhartRecord(NamedTuple):
@@ -167,16 +201,32 @@ def _piece_memberships(
 def _sample_hypersimplex_points(
     k: int, n: int, count: int, rng: random.Random
 ) -> list[tuple[int, ...]]:
-    """Numerators of fixed-seed points of Delta(n+1, k(n+1)) by rejection sampling."""
-    N, level, denominator = k * (n + 1), n + 1, PROBE_DENOMINATOR
-    points, attempts = [], 0
-    while len(points) < count and attempts < 200_000:
-        attempts += 1
-        coords = [rng.randint(0, denominator) for _ in range(N - 1)]
-        last = denominator * level - sum(coords)
-        if not 0 <= last <= denominator:
-            continue
-        coords.append(last)
+    """
+    Numerators of count exactly uniform lattice points of PROBE_DENOMINATOR *
+    Delta(n+1, k(n+1)).  The lattice-count DP of the dilate keeps each
+    step's prefix table; walking back from the full sum, each coordinate is
+    drawn by inverse CDF, one randrange and one bisect per coordinate.
+    """
+    t = PROBE_DENOMINATOR
+    windows = _windows(spec_for_hypersimplex(n + 1, k * (n + 1)), t)
+    tables, row = [], [1]
+    for previous, window in zip(windows, windows[1:]):
+        prefix, row = _dp_step(row, t, previous, window)
+        tables.append((window[0], prefix))
+    tables.reverse()
+    points = []
+    for _ in range(count):
+        coords, s = [], t * (n + 1)
+        for lo, prefix in tables:
+            # prefix[m] counts the paths to sums below lo - t + m, so the sum
+            # lo - t + m with prefix[m] <= u < prefix[m + 1] is drawn in
+            # proportion to its count, from the sums s - t .. s
+            base = s - lo
+            u = prefix[base] + rng.randrange(prefix[base + t + 1] - prefix[base])
+            previous_sum = lo - t + bisect_right(prefix, u, base, base + t + 1) - 1
+            coords.append(s - previous_sum)
+            s = previous_sum
+        coords.reverse()
         points.append(tuple(coords))
     return points
 
@@ -245,8 +295,9 @@ def verify_subdivision(k: int, n: int, cap: int = DEFAULT_AMBIENT_CAP) -> Subdiv
     if piece != expected_piece:
         failures.append(f"piece volume {piece} != expected {expected_piece}")
 
-    rng = random.Random(PROBE_SEED)
-    points = _sample_hypersimplex_points(k, n, PROBE_SAMPLES, rng)
+    import random
+
+    points = _sample_hypersimplex_points(k, n, PROBE_SAMPLES, random.Random(PROBE_SEED))
     if len(points) < PROBE_SAMPLES:
         failures.append(f"drew only {len(points)} of {PROBE_SAMPLES} probe points")
     interior_hits = [0] * (n + 1)

@@ -1,7 +1,8 @@
 """
 Brute-force references over S_m that the tests compare the engines
-against, and the Chung-Feller machinery on 0/1 words (0 = East, 1 = North)
-that only the tests run.
+against, the full-window lattice-count DP that the banded one replaced,
+and the Chung-Feller machinery on 0/1 words (0 = East, 1 = North) that
+only the tests run.
 """
 import itertools
 from collections import Counter
@@ -38,6 +39,38 @@ def orbit_census(n):
             for exc in cert.exceedances:
                 counts[exc] += 1
     return {j: counts.get(j, 0) for j in range(n + 1)}
+
+
+def full_window_lattice_count(spec, t):
+    """
+    Lattice points of the t-fold dilate of an alcoved spec by a DP whose row
+    spans every sum 0..t*level_k; each prefix bound clears the row outside
+    its window after step j.
+    """
+    target = t * spec.level_k
+    checkpoints = {}
+    for bd in spec.bounds:
+        lo, hi = checkpoints.get(bd.j, (0, target))
+        if bd.lower is not None:
+            lo = max(lo, t * bd.lower)
+        if bd.upper is not None:
+            hi = min(hi, t * bd.upper)
+        checkpoints[bd.j] = (lo, hi)
+    # dp[s] = number of ways for the processed prefix to sum to s.  A coordinate
+    # in [0, t] maps it to nxt[s] = dp[s-t] + ... + dp[s] = prefix[s+1] -
+    # prefix[max(s-t, 0)]: prefix[s+1] up to t, a difference of two slices above
+    dp = [1] + [0] * target
+    for index in range(1, spec.ambient_n + 1):
+        prefix = [0, *itertools.accumulate(dp)]
+        above = zip(prefix[t + 2 : target + 2], prefix[1:])
+        nxt = prefix[1 : min(t, target) + 2] + [a - b for a, b in above]
+        if index in checkpoints:
+            clo, chi = checkpoints[index]  # 0 <= clo and chi <= target
+            below, above = min(clo, target + 1), max(chi + 1, 0)
+            nxt[:below] = [0] * below
+            nxt[above:] = [0] * (target + 1 - above)
+        dp = nxt
+    return dp[target]
 
 
 def complement(w):

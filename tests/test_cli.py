@@ -155,13 +155,13 @@ def test_scale_cap_refusal(capsys):
 
 
 def test_force_lifts_the_cap(capsys):
-    # P_{3,10} has 33 coordinates, one past the default ambient cap of 32
-    code, _, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "3",
-                           "--n", "10")
+    # P_{2,21} has 44 coordinates, one past the default ambient cap of 43
+    code, _, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2",
+                           "--n", "21")
     assert code == 3
-    assert err == "error: ambient dimension 33 exceeds the cap of 32; pass --force to proceed\n"
-    code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", "3",
-                           "--n", "10", "--force", "--format", "json")
+    assert err == "error: ambient dimension 44 exceeds the cap of 43; pass --force to proceed\n"
+    code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2",
+                           "--n", "21", "--force", "--format", "json")
     assert code == 0
     assert json.loads(out)["ehrhart"]["normalized_volume"] > 0
 
@@ -287,6 +287,8 @@ print(" ".join(sorted(sys.modules)), file=sys.stderr)
      {"dataclasses", "fractions", "csv", "eulercat.orbit", "eulercat.alcoved",
       "eulercat.geometry", "eulercat.paths", "eulercat.permcore"}),
     (("census", "--n", "1"), {"dataclasses", "fractions", "eulercat.geometry"}),
+    (("volume", "--shape", "pkn", "--k", "2", "--n", "2"),
+     {"dataclasses", "eulercat.orbit", "eulercat.paths", "eulercat.permcore"}),
 ])
 def test_subcommand_imports_only_what_it_runs(argv, absent):
     # a fresh interpreter: pytest itself has loaded dataclasses and fractions

@@ -1,9 +1,10 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eulercat import geometry
@@ -25,11 +26,11 @@ from eulercat.geometry import (
     verify_subdivision,
 )
 from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
+from oracles import full_window_lattice_count
 
 
-def naive_lattice_count(spec, t):
+def naive_lattice_points(spec, t):
     """Direct enumeration over the integer box, as an independent oracle."""
-    count = 0
     for x in itertools.product(range(t + 1), repeat=spec.ambient_n):
         if sum(x) != t * spec.level_k:
             continue
@@ -41,8 +42,11 @@ def naive_lattice_count(spec, t):
             if b.upper is not None and s > t * b.upper:
                 ok = False
         if ok:
-            count += 1
-    return count
+            yield x
+
+
+def naive_lattice_count(spec, t):
+    return sum(1 for _ in naive_lattice_points(spec, t))
 
 
 def lagrange_interpolation(values):
@@ -100,23 +104,21 @@ def _pinned(ambient_n, level_k, j, extra=()):
     return AlcovedSpec(ambient_n=ambient_n, level_k=level_k, bounds=(bound, *extra))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        spec_for_P2n_flipped(2, {1, 2}),  # lower bounds on prefix checkpoints
-        _pinned(4, 2, 1),
-        _pinned(4, 2, 3),
-        _pinned(5, 2, 4, (Bound(2, upper=1),)),
-        _pinned(5, 3, 2, (Bound(3, lower=1), Bound(4, upper=2))),
-        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, lower=2),)),  # empty window
-        # checkpoint windows reaching past either end of the DP row
-        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, lower=3),)),
-        AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, upper=-1),)),
-        AlcovedSpec(ambient_n=5, level_k=2, bounds=(Bound(3, lower=2, upper=2),)),
-    ],
-    ids=["p22-flipped-12", "pin-1", "pin-3", "pin-4-cut", "pin-2-window", "empty",
-         "cut-above-level", "cut-below-zero", "cut-at-level"],
-)
+CHECKPOINT_SPECS = {
+    "p22-flipped-12": spec_for_P2n_flipped(2, {1, 2}),  # lower bounds on prefix checkpoints
+    "pin-1": _pinned(4, 2, 1),
+    "pin-3": _pinned(4, 2, 3),
+    "pin-4-cut": _pinned(5, 2, 4, (Bound(2, upper=1),)),
+    "pin-2-window": _pinned(5, 3, 2, (Bound(3, lower=1), Bound(4, upper=2))),
+    "empty": AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, lower=2),)),  # empty window
+    # checkpoint windows reaching past either end of the DP row
+    "cut-above-level": AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, lower=3),)),
+    "cut-below-zero": AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, upper=-1),)),
+    "cut-at-level": AlcovedSpec(ambient_n=5, level_k=2, bounds=(Bound(3, lower=2, upper=2),)),
+}
+
+
+@pytest.mark.parametrize("spec", list(CHECKPOINT_SPECS.values()), ids=list(CHECKPOINT_SPECS))
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
 def test_dp_agrees_with_naive_enumeration_on_lower_bounds(spec, t):
     assert count_dilated_lattice_points(spec, t) == naive_lattice_count(spec, t)
@@ -168,8 +170,8 @@ def test_ehrhart_empty_polytope_is_refused():
 
 
 @st.composite
-def prefix_bound_specs(draw):
-    ambient_n = draw(st.integers(2, 9))
+def prefix_bound_specs(draw, max_ambient=9):
+    ambient_n = draw(st.integers(2, max_ambient))
     bounds = []
     for _ in range(draw(st.integers(0, 3))):
         j = draw(st.integers(1, ambient_n - 1))
@@ -192,6 +194,73 @@ def test_w_set_count_is_the_ehrhart_volume(spec):
     assert w_set_count(spec) == volume
 
 
+# windows crossed by a lower bound above the level, an upper bound below 0, and
+# two bounds that no steps of 0..t can join
+CROSSED_SPECS = [
+    AlcovedSpec(4, 2, (Bound(2, lower=3),)),
+    AlcovedSpec(5, 2, (Bound(3, upper=-1),)),
+    AlcovedSpec(5, 3, (Bound(1, upper=0), Bound(3, lower=3))),
+]
+
+
+@example(CROSSED_SPECS[0], 4)
+@example(CROSSED_SPECS[1], 4)
+@example(CROSSED_SPECS[2], 4)
+@given(prefix_bound_specs(), st.integers(0, 5))
+def test_banded_dp_matches_the_full_window_dp(spec, t):
+    assert count_dilated_lattice_points(spec, t) == full_window_lattice_count(spec, t)
+
+
+@pytest.mark.parametrize("spec", CROSSED_SPECS)
+def test_empty_dilate_is_a_crossed_window_and_runs_no_dp(spec, monkeypatch):
+    monkeypatch.setattr(geometry, "_dp_step", None)
+    assert any(lo > hi for lo, hi in geometry._windows(spec, 4))
+    assert count_dilated_lattice_points(spec, 4) == 0
+
+
+def assert_windows_are_the_feasible_prefix_sums(spec, t):
+    # a band wider than needed only costs time, so no count comparison catches it
+    points = list(naive_lattice_points(spec, t))
+    windows = geometry._windows(spec, t)
+    assert len(windows) == spec.ambient_n + 1
+    if not points:
+        assert any(lo > hi for lo, hi in windows)
+        return
+    for i, (lo, hi) in enumerate(windows):
+        assert {sum(x[:i]) for x in points} == set(range(lo, hi + 1))
+
+
+@given(prefix_bound_specs(max_ambient=6), st.integers(0, 3))
+def test_dp_windows_are_exactly_the_feasible_prefix_sums(spec, t):
+    assert_windows_are_the_feasible_prefix_sums(spec, t)
+
+
+@pytest.mark.parametrize("spec", list(CHECKPOINT_SPECS.values()), ids=list(CHECKPOINT_SPECS))
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+def test_dp_windows_are_exactly_the_feasible_prefix_sums_at_checkpoints(spec, t):
+    assert_windows_are_the_feasible_prefix_sums(spec, t)
+
+
+def test_probes_are_uniform_on_the_lattice_points(monkeypatch):
+    # 2 * Delta(2, 4): the 19 points of {0, 1, 2}^4 summing to 4, each drawn 2000
+    # times on average
+    monkeypatch.setattr(geometry, "PROBE_DENOMINATOR", 2)
+    draws = geometry._sample_hypersimplex_points(2, 1, 38_000, random.Random(5))
+    hits = Counter(draws)
+    assert set(hits) == set(naive_lattice_points(spec_for_hypersimplex(2, 4), 2))
+    assert all(1800 <= c <= 2200 for c in hits.values()), hits
+
+
+def test_probes_lie_on_the_dilated_hypersimplex():
+    d = geometry.PROBE_DENOMINATOR
+    points = geometry._sample_hypersimplex_points(4, 5, 120, random.Random(geometry.PROBE_SEED))
+    assert len(points) == 120
+    for numerators in points:
+        assert len(numerators) == 24
+        assert all(0 <= c <= d for c in numerators)
+        assert sum(numerators) == d * 6
+
+
 def test_ehrhart_degenerate_polytope_is_reported():
     # x_1 pinned to the dilation level: a point, not a 2-dimensional body
     spec = AlcovedSpec(ambient_n=3, level_k=1, bounds=(Bound(1, lower=1, upper=1),))
@@ -200,9 +269,9 @@ def test_ehrhart_degenerate_polytope_is_reported():
 
 
 def test_ehrhart_scale_cap():
-    assert geometry.DEFAULT_AMBIENT_CAP == 32
+    assert geometry.DEFAULT_AMBIENT_CAP == 43
     with pytest.raises(ScaleCapError):
-        ehrhart_volume(spec_for_Pkn(3, 10))  # ambient 33
+        ehrhart_volume(spec_for_Pkn(2, 21))  # ambient 44
 
 
 def test_ehrhart_at_scale():

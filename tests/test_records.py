@@ -42,7 +42,7 @@ def test_record_json_shapes():
         "expected_piece_volume": 2,
         "expected_total_volume": 4,
         "points_probed": 120,
-        "interior_hits": [63, 55],
+        "interior_hits": [60, 58],
         "piece_symmetry": "pieces 1..1 are images of P_{2,1} under the coordinate rotation by 2*i",
         "failures": [],
         "passed": True,
