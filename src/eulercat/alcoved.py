@@ -9,13 +9,12 @@ cut by integer lower/upper bounds on prefix sums x_1 + ... + x_j with
 prefix bounds.  Its normalized volume equals the number of permutations
 w in S_{ambient_n - 1} with level_k - 1 descents whose prefixes
 w_1 ... w_j respect the bounds as descent-count conditions
-(Lam-Postnikov, with the convention w_0 = 0).
+(Lam-Postnikov, with the convention w_0 = 0): a window on the height
+of the ad-word's path after j - 1 letters, read by one descent-word walk.
 """
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DEFAULT_FACTORIAL_CAP
 
@@ -99,42 +98,37 @@ def spec_for_P2n_flipped(n: int, flipped: Iterable[int]) -> AlcovedSpec:
     return AlcovedSpec(ambient_n=2 * (n + 1), level_k=n + 1, bounds=prefix)
 
 
-def _bound_conditions_hold(word: Sequence[int], bounds: Sequence[Bound]) -> bool:
-    """
-    Lam-Postnikov conditions read off the ad-word of w.  With w_0 = 0 the
-    tie-break at equality always admits the lower side and rejects the
-    upper side, so each bound reduces to b <= des(w_1..w_j) < c.
-    """
-    for bd in bounds:
-        d = sum(word[: bd.j - 1])
-        if bd.lower is not None and d < bd.lower:
-            return False
-        if bd.upper is not None and d >= bd.upper:
-            return False
-    return True
-
-
 def w_set_count(spec: AlcovedSpec, cap: int = DEFAULT_FACTORIAL_CAP) -> int:
     """
     |W(k, n, b, c)|: permutations of [ambient_n - 1] with level_k - 1
     descents meeting every bound condition.  Equals the normalized
     volume of the alcoved polytope.
     """
-    from .permcore import descent_word_census
+    from .permcore import descent_word_walk
 
-    census = descent_word_census(spec.ambient_n - 1, spec.level_k - 1, cap)
-    return sum(
-        count for word, count in census.items()
-        if _bound_conditions_hold(word, spec.bounds)
-    )
+    def admits(letters: int, y: int) -> bool:
+        # des(w_1..w_j) is the height y once j - 1 letters are read.  With w_0 = 0
+        # the tie-break at equality always admits the lower side and rejects the
+        # upper side, so each bound reduces to b <= y < c.
+        return all(
+            (bd.lower is None or bd.lower <= y) and (bd.upper is None or y < bd.upper)
+            for bd in spec.bounds if bd.j - 1 == letters
+        )
+
+    def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
+        return key if admits(x + y + 1, y + letter) else None
+
+    counts = descent_word_walk(spec.ambient_n - 1, spec.level_k - 1, step, cap)
+    # bounds with j = 1 hold before the first letter, at y = 0
+    return sum(counts.values()) if admits(0, 0) else 0
 
 
 def all_subsets(n: int) -> list[tuple[int, ...]]:
     """Subsets of {1..n} as sorted tuples, ordered by size then value."""
-    out = []
-    for size in range(n + 1):
-        out.extend(itertools.combinations(range(1, n + 1), size))
-    return out
+    subsets = (
+        tuple(t for t in range(1, n + 1) if mask >> (t - 1) & 1) for mask in range(1 << n)
+    )
+    return sorted(subsets, key=lambda T: (len(T), T))
 
 
 def subset_key(T: Iterable[int]) -> str:
@@ -149,17 +143,17 @@ def exceedance_position_census(
 ) -> dict[tuple[int, ...], int]:
     """
     For each T subset of {1..n}: count w in S_{2n+1} with n descents whose
-    path has exceedances exactly at positions {t-1 : t in T}.  Each entry
-    is the normalized volume of the matching flipped slice.
+    path has exceedances exactly at positions {t-1 : t in T}.  The walk
+    keys each ad-word by the bitmask of its exceedance positions so far.
+    Each entry is the normalized volume of the matching flipped slice.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    from .paths import exceedance_positions
-    from .permcore import descent_word_census
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    from .paths import is_exceedance_step
+    from .permcore import descent_word_walk
 
-    counts: Counter = Counter()
-    for word, count in descent_word_census(2 * n + 1, n, cap).items():
-        counts[exceedance_positions(word)] += count
-    return {
-        T: counts.get(frozenset(t - 1 for t in T), 0) for T in all_subsets(n)
-    }
+    def step(x: int, y: int, mask: int, letter: int) -> int:
+        return mask | 1 << x if is_exceedance_step(x, y, letter) else mask
+
+    counts = descent_word_walk(2 * n + 1, n, step, cap)
+    return {T: counts.get(sum(1 << (t - 1) for t in T), 0) for T in all_subsets(n)}

@@ -1,9 +1,10 @@
 """Shared exception types and the default scale caps they enforce."""
 
-# Descent-word counting over S_m costs C(m-1, d) words times O(m^2); the worst d
-# takes about one interpreter start-up at S_15 (CPython 3.11, one core, in-process):
-# census --n 6 (S_13) 0.021 s, --n 7 (S_15) 0.079 s, --n 8 (S_17) 0.29 s;
-# verify alcoved-vs-dyck --k 2 --n 6 (S_13) 0.03 s, --n 7 (S_15) 0.10 s
+# Descent-word counting over S_m walks the words letter by letter and lists none of them:
+# in-process, census --n 7 (S_15) takes about 1 ms and --by-position 3.4 ms.  The cap
+# stays at S_15 because the costliest command it admits, verify census-vs-volumes --n 7,
+# also computes 128 Ehrhart volumes and takes about 0.3 s end to end, a few interpreter
+# start-ups (CPython 3.11, one core, best of 3)
 DEFAULT_FACTORIAL_CAP = 15
 
 # Volumes up to 43 coordinates take at most ~0.08 s, one interpreter start-up, on the

@@ -9,13 +9,13 @@ inside every prefix bound.  The DP row at step i holds exactly that band,
 so a dilation costs the sum of its window widths, and each step is one
 difference of the previous row's prefix sums.  An empty dilate shows as a
 crossed window, lo_i > hi_i, and runs no DP.  The counts at dilations
-t = 0..d determine the Ehrhart polynomial by integer Newton forward
-differences, and the normalized volume is d! times its leading
-coefficient.  Subdivision probes are exactly uniform lattice points of the
-dilated hypersimplex, drawn by inverse CDF from the same DP's prefix
-tables, and are tested as integer numerators over one common denominator.
-Nothing here consults the permutation-counting route, so the two volume
-computations cross-check each other.
+t = 0..d determine d! times the Ehrhart polynomial, whose coefficients
+are integers, by Newton forward differences; its leading coefficient is
+the normalized volume.  Subdivision probes are exactly uniform lattice
+points of the dilated hypersimplex, drawn by inverse CDF from the same
+DP's prefix tables, and are tested as integer numerators over one common
+denominator.  Nothing here consults the permutation-counting route, so
+the two volume computations cross-check each other.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
@@ -103,16 +102,16 @@ def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
     return row[0]
 
 
-def interpolate_at_integers(values: Sequence[int]) -> list[Fraction]:
+def interpolate_at_integers(values: Sequence[int]) -> list[int]:
     """
-    Exact coefficients (ascending) of the unique degree <= d polynomial through
-    (0, values[0]), ..., (d, values[d]), by Newton's forward differences:
-    d! p(x) = sum_j D^j h(0) (d!/j!) x(x-1)...(x-j+1) has integer coefficients.
+    Integer coefficients (ascending) of d! p(x), for the unique degree <= d
+    polynomial p through (0, values[0]), ..., (d, values[d]), by Newton's
+    forward differences: d! p(x) = sum_j D^j h(0) (d!/j!) x(x-1)...(x-j+1).
     """
     d = len(values) - 1
     scaled = [0] * (d + 1)  # coefficients of d! p(x)
     falling = [1]  # coefficients of x(x-1)...(x-j+1)
-    weight = d_factorial = math.factorial(d)  # weight = d!/j!
+    weight = math.factorial(d)  # d!/j!
     diffs = list(values)  # D^j h(t) for t = 0..d-j
     for j in range(d + 1):
         term = diffs[0] * weight
@@ -121,37 +120,43 @@ def interpolate_at_integers(values: Sequence[int]) -> list[Fraction]:
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         falling = [a - j * b for a, b in zip([0, *falling], [*falling, 0])]
         weight //= j + 1
-    return [Fraction(c, d_factorial) for c in scaled]
+    return scaled
 
 
-def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    # Horner on integer numerators over the coefficients' common denominator
-    denominator = math.lcm(*(c.denominator for c in coeffs))
+def eval_poly(coeffs: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c.numerator * (denominator // c.denominator)
-    return Fraction(acc, denominator)
+        acc = acc * x + c
+    return acc
+
+
+def _ratio(numerator: int, denominator: int) -> str:
+    """numerator/denominator in lowest terms, zero as 0/1."""
+    g = math.gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}"
 
 
 class EhrhartRecord(NamedTuple):
     dimension: int
     evaluations: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]  # of d! times the Ehrhart polynomial
     normalized_volume: int
 
     def to_json_dict(self) -> dict:
+        d_factorial = math.factorial(self.dimension)
         return {
             "dimension": self.dimension,
             "evaluations": list(self.evaluations),
-            "coefficients": [f"{c.numerator}/{c.denominator}" for c in self.coefficients],
+            "coefficients": [_ratio(c, d_factorial) for c in self.coefficients],
             "normalized_volume": self.normalized_volume,
         }
 
 
 def ehrhart_volume(spec: AlcovedSpec, cap: int = DEFAULT_AMBIENT_CAP) -> EhrhartRecord:
     """
-    Evaluate the lattice-point count at t = 0..d, interpolate, and return
-    the record with normalized volume d! * (leading coefficient).
+    Evaluate the lattice-point count at t = 0..d, interpolate d! times the
+    Ehrhart polynomial, and return the record; its leading coefficient is
+    the normalized volume.
     """
     if spec.ambient_n > cap:
         raise ScaleCapError(
@@ -168,13 +173,13 @@ def ehrhart_volume(spec: AlcovedSpec, cap: int = DEFAULT_AMBIENT_CAP) -> Ehrhart
         raise DegenerateDimensionError(
             f"leading Ehrhart coefficient vanishes: polytope has dimension < {d}"
         )
+    d_factorial = math.factorial(d)
     for t, val in enumerate(evaluations):
-        if eval_poly(coeffs, t) != val:
+        if eval_poly(coeffs, t) != d_factorial * val:
             raise InvariantError(f"interpolated polynomial misses h({t}) = {val}")
-    volume = math.factorial(d) * coeffs[d]
-    if volume.denominator != 1 or volume < 0:
-        raise InvariantError(f"normalized volume {volume} is not a nonnegative integer")
-    return EhrhartRecord(d, evaluations, tuple(coeffs), int(volume))
+    if coeffs[d] < 0:
+        raise InvariantError(f"normalized volume {coeffs[d]} is negative")
+    return EhrhartRecord(d, evaluations, tuple(coeffs), coeffs[d])
 
 
 def _piece_memberships(
@@ -231,8 +236,8 @@ def _sample_hypersimplex_points(
     return points
 
 
-def _probe_point(numerators: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c, PROBE_DENOMINATOR) for c in numerators)
+def _probe_point(numerators: Sequence[int]) -> str:
+    return "(" + ", ".join(_ratio(c, PROBE_DENOMINATOR) for c in numerators) + ")"
 
 
 class SubdivisionReport(NamedTuple):

@@ -9,8 +9,7 @@ that statement as a checked certificate.
 """
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantError
 from .permcore import (
@@ -21,10 +20,10 @@ from .permcore import (
     cyclic_descent_positions,
     cyclic_shift,
     descent_count,
-    descent_word_census,
+    descent_word_walk,
     format_permutation,
 )
-from .paths import exceedance, is_k_ballot
+from .paths import exceedance, is_exceedance_step
 
 CASE_N = "n-cyclic-descents"
 CASE_N_PLUS_ONE = "n-plus-one-cyclic-descents"
@@ -120,15 +119,17 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
 
 def equidistribution_census(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> dict[int, int]:
     """
-    Census of w in S_{2n+1} with n descents by exc(L(w)), summed over
-    ad-words by the descent-word engine.  Every bucket j = 0..n holds the
-    same count, the Eulerian-Catalan number EC_n.
+    Census of w in S_{2n+1} with n descents by exc(L(w)): the walk keys
+    each ad-word by its exceedances so far.  Every bucket j = 0..n holds
+    the same count, the Eulerian-Catalan number EC_n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts: Counter = Counter()
-    for word, count in descent_word_census(2 * n + 1, n, cap).items():
-        counts[exceedance(word)] += count
+
+    def step(x: int, y: int, exc: int, letter: int) -> int:
+        return exc + is_exceedance_step(x, y, letter)
+
+    counts = descent_word_walk(2 * n + 1, n, step, cap)
     return {j: counts.get(j, 0) for j in range(n + 1)}
 
 
@@ -145,5 +146,9 @@ def count_dyck_permutations(
         raise ValueError("k must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
-    census = descent_word_census(k * n + k - 1, n, cap)
-    return sum(count for word, count in census.items() if is_k_ballot(word, k - 1))
+
+    def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
+        # drop a descent that leaves fewer than (k-1) y ascents
+        return None if letter and x < (k - 1) * (y + 1) else key
+
+    return sum(descent_word_walk(k * n + k - 1, n, step, cap).values())

@@ -11,13 +11,13 @@ descent positions additionally allow index m for the wrap pair
 (w_m, w_1).  For m = 1 the wrap pair (w_1, w_1) is never a descent.
 
 Every count in the package depends on a permutation only through its
-ascent/descent word, so descent_word_census is the one counting engine:
-it counts the permutations behind each word instead of scanning S_m.
+ascent/descent word, so descent_word_walk is the one counting engine: it
+reads the words letter by letter as paths, and each count is a step rule.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DEFAULT_FACTORIAL_CAP, ScaleCapError
 
@@ -66,41 +66,48 @@ def cyclic_shift(w: Sequence[int], r: int) -> Permutation:
     return tuple(w[r - 1:]) + tuple(w[:r - 1])
 
 
-def _word_count(word: Sequence[int]) -> int:
-    """Number of permutations of [len(word) + 1] whose ad-vector is word."""
-    # row[r]: orderings of the entries placed so far that match the word read
-    # so far and whose last entry has rank r among them
-    row = [1]
-    for descent in word:
-        if descent:
-            row = list(itertools.accumulate(reversed(row)))[::-1] + [0]
-        else:
-            row = [0] + list(itertools.accumulate(row))
-    return sum(row)
-
-
-def descent_word_census(
-    m: int, d: int, cap: int = DEFAULT_FACTORIAL_CAP
-) -> dict[tuple[int, ...], int]:
+def descent_word_walk(
+    m: int,
+    d: int,
+    step: Callable[[int, int, int, int], Optional[int]],
+    cap: int = DEFAULT_FACTORIAL_CAP,
+) -> dict[int, int]:
     """
-    {ad-word: number of permutations of [m] with that word}, over the
-    C(m-1, d) words with d descents.  Each count comes from the O(m^2)
-    rank recurrence (Stanley, EC1 section 1.4), not from a scan of S_m.
-    Empty when d is out of range.
+    {final key: permutations of [m] with d descents whose ad-word ends with
+    that key}.  A word is read as a path, one letter at a time (0 = East,
+    an ascent; 1 = North, a descent).  A state is a point (x, y) plus a key,
+    0 at the start; step(x, y, key, letter) returns the next key, or None
+    to drop the word.  Each state holds one row of the rank recurrence
+    (Stanley, EC1 section 1.4), and words that reach the same state add
+    their rows, so no word is ever listed.  Empty when d is out of range.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > cap:
         raise ScaleCapError(f"counting over S_{m} exceeds the cap of S_{cap}")
-    census = {}
     if not 0 <= d <= m - 1:
-        return census
-    for ones in itertools.combinations(range(m - 1), d):
-        word = [0] * (m - 1)
-        for i in ones:
-            word[i] = 1
-        census[tuple(word)] = _word_count(word)
-    return census
+        return {}
+    # row[r]: orderings of the entries placed so far that match the word read
+    # so far and whose last entry has rank r among them
+    states = {(0, 0): [1]}  # (y, key) -> row, after `letters` letters
+    for letters in range(m - 1):
+        following: dict[tuple[int, int], list[int]] = {}
+        for (y, key), row in states.items():
+            x = letters - y
+            for letter, room in ((0, m - 1 - d - x), (1, d - y)):
+                nkey = step(x, y, key, letter) if room else None
+                if nkey is None:
+                    continue
+                if letter:
+                    nrow = list(itertools.accumulate(reversed(row)))[::-1] + [0]
+                else:
+                    nrow = [0, *itertools.accumulate(row)]
+                seen = following.get((y + letter, nkey))
+                following[y + letter, nkey] = (
+                    nrow if seen is None else [a + b for a, b in zip(seen, nrow)]
+                )
+        states = following
+    return {key: sum(row) for (_, key), row in states.items()}
 
 
 def format_permutation(w: Sequence[int]) -> str:

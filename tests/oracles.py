@@ -1,6 +1,7 @@
 """
 Brute-force references over S_m that the tests compare the engines
-against, the full-window lattice-count DP that the banded one replaced,
+against, the whole-word path statistics that the letter-by-letter walk
+replaced, the full-window lattice-count DP that the banded one replaced,
 and the Chung-Feller machinery on 0/1 words (0 = East, 1 = North) that
 only the tests run.
 """
@@ -8,8 +9,45 @@ import itertools
 from collections import Counter
 
 from eulercat.orbit import analyze_orbit
-from eulercat.paths import is_k_ballot
 from eulercat.permcore import ad_vector, as_permutation, cyclic_shift, descent_count
+
+
+def is_k_ballot(bits, k):
+    """True iff every prefix has at least k times as many 0s as 1s."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    zeros = ones = 0
+    for b in bits:
+        if b:
+            ones += 1
+        else:
+            zeros += 1
+        if zeros < k * ones:
+            return False
+    return True
+
+
+def exceedance_positions(word):
+    """
+    The diagonal indices i in {0..n} at which the path of a word with n
+    zeros and n ones passes strictly above (i, i), i.e. contains a point
+    (i, i') with i' > i.
+    """
+    east = word.count(0)
+    if 2 * east != len(word) or word.count(1) != east:
+        raise ValueError(f"not a 0/1 path ending on the diagonal: {tuple(word)}")
+    positions = set()
+    x = y = 0
+    for step in word:
+        if step:
+            y += 1
+        else:
+            # y is maximal within column x just before the East step
+            if y > x:
+                positions.add(x)
+            x += 1
+    # final column x = n peaks at y = n, never an exceedance
+    return frozenset(positions)
 
 
 def enumerate_by_descent_count(m, d):

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eulercat.alcoved import (
     AlcovedSpec,
@@ -14,7 +18,8 @@ from eulercat.alcoved import (
 from eulercat.errors import ScaleCapError
 from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
 from eulercat.orbit import count_dyck_permutations
-from oracles import enumerate_by_descent_count
+from eulercat.permcore import ad_vector
+from oracles import enumerate_by_descent_count, exceedance_positions
 
 
 def prefix_bounds(spec):
@@ -126,6 +131,39 @@ def test_w_set_count_pkn_matches_value_based_brute_count(k, n):
     assert w_set_count(spec) == brute_w_set_count(spec)
 
 
+# several bounds on one prefix, j = 1 (checked before the first letter) and
+# j = ambient_n - 1 (after the last), in S_8
+REPEATED_J_SPECS = [
+    AlcovedSpec(9, 4, (Bound(3, lower=1), Bound(3, upper=2), Bound(6, upper=3))),
+    AlcovedSpec(9, 5, (Bound(1, upper=1), Bound(5, lower=1), Bound(5, lower=2, upper=3))),
+    AlcovedSpec(9, 4, (Bound(8, lower=3), Bound(8, upper=4), Bound(2, upper=1))),
+    AlcovedSpec(9, 3, (Bound(1, lower=0), Bound(1, upper=0))),
+]
+
+
+@st.composite
+def repeated_j_specs(draw):
+    ambient_n = draw(st.integers(2, 7))
+    js = st.integers(1, ambient_n - 1)
+    bounds = []
+    for j in draw(st.lists(js, max_size=2)) * 2:  # each prefix bounded twice
+        lower, upper = sorted(draw(st.integers(-1, j + 1)) for _ in range(2))
+        bounds.append(Bound(j, draw(st.sampled_from([lower, None])),
+                            draw(st.sampled_from([upper, None]))))
+    return AlcovedSpec(ambient_n, draw(st.integers(1, ambient_n - 1)), tuple(bounds))
+
+
+@given(repeated_j_specs())
+def test_w_set_walk_matches_value_based_brute_count(spec):
+    assert w_set_count(spec) == brute_w_set_count(spec)
+
+
+@pytest.mark.parametrize("spec", REPEATED_J_SPECS)
+def test_w_set_walk_matches_value_based_brute_count_in_s8(spec):
+    # a brute count over S_8 takes longer than a Hypothesis example may
+    assert w_set_count(spec) == brute_w_set_count(spec)
+
+
 def test_w_set_count_scale_cap():
     with pytest.raises(ScaleCapError):
         w_set_count(spec_for_Pkn(2, 8))  # S_17
@@ -136,6 +174,21 @@ def test_exceedance_position_census_examples():
     census = exceedance_position_census(2)
     assert census == {(): 22, (1,): 11, (2,): 11, (1, 2): 22}
     assert sum(census.values()) == eulerian(2, 5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_position_census_walk_matches_brute_force(n):
+    brute = Counter(
+        exceedance_positions(ad_vector(w)) for w in enumerate_by_descent_count(2 * n + 1, n)
+    )
+    census = exceedance_position_census(n)
+    assert census == {T: brute[frozenset(t - 1 for t in T)] for T in all_subsets(n)}
+    assert sum(census.values()) == sum(brute.values())
+
+
+def test_uncapped_walks_match_the_numbers():
+    assert w_set_count(spec_for_Pkn(2, 50), cap=10**9) == eulerian_catalan(50)
+    assert sum(exceedance_position_census(10, cap=10**9).values()) == eulerian(10, 21)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

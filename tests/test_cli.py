@@ -76,6 +76,23 @@ def test_census_by_position(capsys):
     assert out == 'positions,count\n{},22\n{1},11\n{2},11\n"{1,2}",22\n'
 
 
+def test_census_at_n_0(capsys):
+    # S_1 has one permutation, with the empty ad-word: no exceedance at any position
+    code, out, _ = run_cli(capsys, "census", "--n", "0", "--by-position")
+    assert code == 0 and out == "positions  count\n{}         1\n"
+    code, out, err = run_cli(capsys, "census", "--n", "-1", "--by-position")
+    assert code == 2 and out == "" and err == "error: n must be >= 0\n"
+    # P_{2,0}(T) is no polytope, so the census has no volumes to meet
+    code, out, err = run_cli(capsys, "verify", "census-vs-volumes", "--n", "0")
+    assert code == 2 and out == "" and err == "error: n must be >= 1\n"
+
+
+def test_forced_census_at_n_30(capsys):
+    code, out, _ = run_cli(capsys, "census", "--n", "30", "--force", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{j},{eulerian_catalan(30)}" for j in range(31)]
+
+
 def test_orbit_certificate(capsys):
     code, out, _ = run_cli(capsys, "orbit", "2", "1", "3", "--format", "json")
     assert code == 0
@@ -288,7 +305,8 @@ print(" ".join(sorted(sys.modules)), file=sys.stderr)
       "eulercat.geometry", "eulercat.paths", "eulercat.permcore"}),
     (("census", "--n", "1"), {"dataclasses", "fractions", "eulercat.geometry"}),
     (("volume", "--shape", "pkn", "--k", "2", "--n", "2"),
-     {"dataclasses", "eulercat.orbit", "eulercat.paths", "eulercat.permcore"}),
+     {"dataclasses", "fractions", "decimal", "eulercat.orbit", "eulercat.paths",
+      "eulercat.permcore"}),
 ])
 def test_subcommand_imports_only_what_it_runs(argv, absent):
     # a fresh interpreter: pytest itself has loaded dataclasses and fractions

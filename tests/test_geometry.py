@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -125,17 +126,18 @@ def test_dp_agrees_with_naive_enumeration_on_lower_bounds(spec, t):
 
 
 def test_interpolation_is_exact():
-    # x^2/2 + x/2 + 1 through (0,1),(1,2),(2,4)
+    # 2! (x^2/2 + x/2 + 1) = x^2 + x + 2 through (0,1),(1,2),(2,4)
     coeffs = interpolate_at_integers([1, 2, 4])
-    assert coeffs == [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    assert eval_poly(coeffs, 5) == Fraction(16)
+    assert coeffs == [2, 1, 1]
+    assert eval_poly(coeffs, 5) == 2 * 16
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10))
 def test_interpolation_matches_lagrange(values):
     coeffs = interpolate_at_integers(values)
-    assert coeffs == lagrange_interpolation(values)
-    assert [eval_poly(coeffs, t) for t in range(len(values))] == values
+    d_factorial = math.factorial(len(values) - 1)
+    assert [Fraction(c, d_factorial) for c in coeffs] == lagrange_interpolation(values)
+    assert [eval_poly(coeffs, t) for t in range(len(values))] == [d_factorial * v for v in values]
 
 
 def test_ehrhart_hypersimplex_volumes():
@@ -159,7 +161,8 @@ def test_ehrhart_held_out_dilation():
     spec = spec_for_Pkn(2, 2)
     record = ehrhart_volume(spec)
     t = record.dimension + 1
-    assert eval_poly(record.coefficients, t) == count_dilated_lattice_points(spec, t)
+    assert eval_poly(record.coefficients, t) == \
+        math.factorial(record.dimension) * count_dilated_lattice_points(spec, t)
 
 
 def test_ehrhart_empty_polytope_is_refused():
@@ -320,7 +323,8 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
 
     monkeypatch.setattr(geometry, "_piece_memberships", overlap_first_point)
     report = verify_subdivision(2, 1)
-    point = tuple(Fraction(c, geometry.PROBE_DENOMINATOR) for c in seen[0])
+    coords = (Fraction(c, geometry.PROBE_DENOMINATOR) for c in seen[0])
+    point = "(" + ", ".join(f"{f.numerator}/{f.denominator}" for f in coords) + ")"
     assert not report.passed
     assert report.failures == (
         f"point {point} is interior to piece 0 but also in piece 1",

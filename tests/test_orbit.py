@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from eulercat.errors import ScaleCapError
@@ -9,11 +11,13 @@ from eulercat.orbit import (
     count_dyck_permutations,
     equidistribution_census,
 )
-from eulercat.permcore import descent_count
+from eulercat.permcore import ad_vector, descent_count
 from oracles import (
     dyck_to_s2n_bijection,
     enumerate_by_descent_count,
+    exceedance_positions,
     is_dyck_permutation,
+    is_k_ballot,
     orbit_census,
 )
 
@@ -71,6 +75,30 @@ def test_census_partitions_the_central_descent_class(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_mode_census_agrees_with_streaming(n):
     assert orbit_census(n) == equidistribution_census(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_census_walk_matches_brute_force(n):
+    brute = Counter(
+        len(exceedance_positions(ad_vector(w))) for w in enumerate_by_descent_count(2 * n + 1, n)
+    )
+    assert equidistribution_census(n) == {j: brute[j] for j in range(n + 1)}
+
+
+@pytest.mark.parametrize("k,n", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2),
+                                 (4, 0), (4, 1)])
+def test_dyck_walk_matches_brute_force(k, n):
+    # every m = kn + k - 1 <= 8
+    brute = sum(
+        1 for w in enumerate_by_descent_count(k * n + k - 1, n) if is_k_ballot(ad_vector(w), k - 1)
+    )
+    assert count_dyck_permutations(n, k) == brute
+
+
+def test_uncapped_walks_match_the_numbers():
+    assert set(equidistribution_census(30, cap=10**9).values()) == {eulerian_catalan(30)}
+    assert count_dyck_permutations(50, 2, cap=10**9) == eulerian_catalan(50)
+    assert count_dyck_permutations(20, 3, cap=10**9) == fuss_eulerian_catalan(3, 20)
 
 
 def test_census_scale_cap():

@@ -7,15 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eulercat.numbers import catalan
-from eulercat.paths import exceedance, exceedance_positions, is_k_ballot
+from eulercat.paths import exceedance
 from eulercat.permcore import ad_vector
 from oracles import (
     chung_feller_orbit,
     complement,
     enumerate_by_descent_count,
     enumerate_diagonal_paths,
+    exceedance_positions,
     h_step_vector,
     is_dyck_permutation,
+    is_k_ballot,
     path_from_h_vector,
 )
 
@@ -136,3 +138,4 @@ def test_ballot_condition_matches_path_geometry(bits, k):
 def test_exceedance_positions_match_path_geometry(word):
     above = {x for x, y in path_points(word) if y > x}
     assert exceedance_positions(word) == above
+    assert exceedance(word) == len(above)

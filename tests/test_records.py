@@ -2,7 +2,7 @@
 import pytest
 
 from eulercat.alcoved import AlcovedSpec, Bound, spec_for_P2n_flipped, spec_for_Pkn
-from eulercat.geometry import ehrhart_volume, verify_subdivision
+from eulercat.geometry import EhrhartRecord, ehrhart_volume, verify_subdivision
 from eulercat.orbit import analyze_orbit
 
 
@@ -31,6 +31,9 @@ def test_record_json_shapes():
         "coefficients": ["1/1", "13/6", "3/2", "1/3"],
         "normalized_volume": 2,
     }
+    # coefficients of d! p(x), rendered in lowest terms over d!
+    assert EhrhartRecord(3, (), (6, 0, -9, 2), 2).to_json_dict()["coefficients"] == \
+        ["1/1", "0/1", "-3/2", "1/3"]
     report = verify_subdivision(2, 1)
     assert report.passed
     assert report.to_json_dict() == {
