@@ -68,34 +68,24 @@ def spec_for_hypersimplex(k: int, n: int) -> AlcovedSpec:
     return AlcovedSpec(ambient_n=n, level_k=k)
 
 
-def spec_for_Pkn(k: int, n: int) -> AlcovedSpec:
+def spec_for_Pkn(k: int, n: int, flipped: Iterable[int] = ()) -> AlcovedSpec:
     """
-    The slice of Delta(n+1, k(n+1)) cut by x_1 + ... + x_{kt} <= t for
-    t = 1..n; its volume counts (k-1)-Dyck permutations.
+    P_{k,n}(T): Delta(n+1, k(n+1)) cut by x_1 + ... + x_{kt} >= t for t in T,
+    <= t for the other t in 1..n.  Its W-set: the t-th descent is a flaw
+    exactly for t in T, so P_{k,n} = P_{k,n}({}) counts (k-1)-Dyck permutations.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prefix = tuple(Bound(k * t, upper=t) for t in range(1, n + 1))
-    return AlcovedSpec(ambient_n=k * (n + 1), level_k=n + 1, bounds=prefix)
-
-
-def spec_for_P2n_flipped(n: int, flipped: Iterable[int]) -> AlcovedSpec:
-    """
-    P_{2,n}(T): the t-th prefix inequality x_1 + ... + x_{2t} <= t is
-    flipped to >= t exactly for t in T.  T = {} recovers spec_for_Pkn(2, n).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     T = frozenset(flipped)
     if not T <= set(range(1, n + 1)):
         raise ValueError(f"flip set {sorted(T)} not a subset of 1..{n}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     prefix = tuple(
-        Bound(2 * t, lower=t) if t in T else Bound(2 * t, upper=t)
+        Bound(k * t, lower=t) if t in T else Bound(k * t, upper=t)
         for t in range(1, n + 1)
     )
-    return AlcovedSpec(ambient_n=2 * (n + 1), level_k=n + 1, bounds=prefix)
+    return AlcovedSpec(ambient_n=k * (n + 1), level_k=n + 1, bounds=prefix)
 
 
 def w_set_count(spec: AlcovedSpec, cap: int = DEFAULT_FACTORIAL_CAP) -> int:
@@ -106,13 +96,17 @@ def w_set_count(spec: AlcovedSpec, cap: int = DEFAULT_FACTORIAL_CAP) -> int:
     """
     from .permcore import descent_word_walk
 
+    by_letters: dict[int, list[Bound]] = {}
+    for bd in spec.bounds:  # every bound on x_1 + ... + x_j, keyed by j - 1
+        by_letters.setdefault(bd.j - 1, []).append(bd)
+
     def admits(letters: int, y: int) -> bool:
         # des(w_1..w_j) is the height y once j - 1 letters are read.  With w_0 = 0
         # the tie-break at equality always admits the lower side and rejects the
         # upper side, so each bound reduces to b <= y < c.
         return all(
             (bd.lower is None or bd.lower <= y) and (bd.upper is None or y < bd.upper)
-            for bd in spec.bounds if bd.j - 1 == letters
+            for bd in by_letters.get(letters, ())
         )
 
     def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
@@ -143,17 +137,17 @@ def exceedance_position_census(
 ) -> dict[tuple[int, ...], int]:
     """
     For each T subset of {1..n}: count w in S_{2n+1} with n descents whose
-    path has exceedances exactly at positions {t-1 : t in T}.  The walk
-    keys each ad-word by the bitmask of its exceedance positions so far.
-    Each entry is the normalized volume of the matching flipped slice.
+    path has exceedances exactly at positions {t-1 : t in T}, which are its
+    k = 2 flaw rows.  The walk keys each ad-word by the bitmask of its flaw
+    rows so far.  Each entry is the normalized volume of P_{2,n}(T).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    from .paths import is_exceedance_step
+    from .paths import is_flaw_step
     from .permcore import descent_word_walk
 
     def step(x: int, y: int, mask: int, letter: int) -> int:
-        return mask | 1 << x if is_exceedance_step(x, y, letter) else mask
+        return mask | 1 << y if is_flaw_step(x, y, letter, 2) else mask
 
     counts = descent_word_walk(2 * n + 1, n, step, cap)
     return {T: counts.get(sum(1 << (t - 1) for t in T), 0) for T in all_subsets(n)}

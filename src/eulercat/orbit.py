@@ -5,7 +5,8 @@ exceedance equidistribution and Dyck-permutation counting.
 Among the 2n+1 cyclic shifts of a permutation with n descents, exactly
 n+1 have n descents, and the lattice paths of those n+1 shifts realize
 every exceedance value 0..n exactly once.  analyze_orbit materializes
-that statement as a checked certificate.
+that statement as a checked certificate.  The census counts k = 2 flaws
+(paths.is_flaw_step), and the Dyck count drops every flaw at its own k.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .permcore import (
     descent_word_walk,
     format_permutation,
 )
-from .paths import exceedance, is_exceedance_step
+from .paths import exceedance, is_flaw_step
 
 CASE_N = "n-cyclic-descents"
 CASE_N_PLUS_ONE = "n-plus-one-cyclic-descents"
@@ -120,14 +121,14 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
 def equidistribution_census(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> dict[int, int]:
     """
     Census of w in S_{2n+1} with n descents by exc(L(w)): the walk keys
-    each ad-word by its exceedances so far.  Every bucket j = 0..n holds
+    each ad-word by its k = 2 flaws so far.  Every bucket j = 0..n holds
     the same count, the Eulerian-Catalan number EC_n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
 
     def step(x: int, y: int, exc: int, letter: int) -> int:
-        return exc + is_exceedance_step(x, y, letter)
+        return exc + is_flaw_step(x, y, letter, 2)
 
     counts = descent_word_walk(2 * n + 1, n, step, cap)
     return {j: counts.get(j, 0) for j in range(n + 1)}
@@ -140,7 +141,7 @@ def count_dyck_permutations(
 ) -> int:
     """
     Count of w in S_{kn+k-1} with n descents whose ad-vector is a
-    (k-1)-ballot sequence; equals fuss_eulerian_catalan(k, n).
+    (k-1)-ballot sequence, with no flaw; equals fuss_eulerian_catalan(k, n).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -148,7 +149,6 @@ def count_dyck_permutations(
         raise ValueError("n must be >= 0")
 
     def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
-        # drop a descent that leaves fewer than (k-1) y ascents
-        return None if letter and x < (k - 1) * (y + 1) else key
+        return None if is_flaw_step(x, y, letter, k) else key
 
     return sum(descent_word_walk(k * n + k - 1, n, step, cap).values())

@@ -1,9 +1,9 @@
 """
 Brute-force references over S_m that the tests compare the engines
-against, the whole-word path statistics that the letter-by-letter walk
-replaced, the full-window lattice-count DP that the banded one replaced,
-and the Chung-Feller machinery on 0/1 words (0 = East, 1 = North) that
-only the tests run.
+against, the East-step exceedance (the paper's definition, which the flaw
+rule replaced), the whole-word path statistics, the full-window
+lattice-count DP that the banded one replaced, and the Chung-Feller
+machinery on 0/1 words (0 = East, 1 = North) that only the tests run.
 """
 import itertools
 from collections import Counter
@@ -27,25 +27,29 @@ def is_k_ballot(bits, k):
     return True
 
 
+def is_exceedance_step(x, y, letter):
+    """
+    True iff the step from (x, y) is East with y > x: column x is where the
+    path peaks, so it passes strictly above the diagonal point (x, x).
+    """
+    return not letter and y > x
+
+
 def exceedance_positions(word):
     """
     The diagonal indices i in {0..n} at which the path of a word with n
     zeros and n ones passes strictly above (i, i), i.e. contains a point
-    (i, i') with i' > i.
+    (i, i') with i' > i: the paper's exceedance, read off the East steps.
     """
     east = word.count(0)
     if 2 * east != len(word) or word.count(1) != east:
         raise ValueError(f"not a 0/1 path ending on the diagonal: {tuple(word)}")
     positions = set()
     x = y = 0
-    for step in word:
-        if step:
-            y += 1
-        else:
-            # y is maximal within column x just before the East step
-            if y > x:
-                positions.add(x)
-            x += 1
+    for letter in word:
+        if is_exceedance_step(x, y, letter):
+            positions.add(x)
+        x, y = x + 1 - letter, y + letter
     # final column x = n peaks at y = n, never an exceedance
     return frozenset(positions)
 

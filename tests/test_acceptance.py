@@ -136,7 +136,7 @@ def test_criterion_8_volume_identity_at_one_exceedance():
         census = alcoved.exceedance_position_census(n)
         volumes = {
             T: geometry.ehrhart_volume(
-                alcoved.spec_for_P2n_flipped(n, T)
+                alcoved.spec_for_Pkn(2, n, T)
             ).normalized_volume
             for T in census
         }

@@ -9,7 +9,6 @@ from eulercat.alcoved import (
     Bound,
     all_subsets,
     exceedance_position_census,
-    spec_for_P2n_flipped,
     spec_for_Pkn,
     spec_for_hypersimplex,
     subset_key,
@@ -73,13 +72,15 @@ def test_spec_for_pkn_examples():
 
 
 def test_spec_for_p2n_flipped_examples():
-    assert spec_for_P2n_flipped(2, ()) == spec_for_Pkn(2, 2)
-    spec = spec_for_P2n_flipped(2, {1})
+    assert spec_for_Pkn(2, 2, ()) == spec_for_Pkn(2, 2)
+    spec = spec_for_Pkn(2, 2, {1})
     assert prefix_bounds(spec) == {2: (1, None), 4: (None, 2)}
-    spec = spec_for_P2n_flipped(2, {1, 2})
+    spec = spec_for_Pkn(2, 2, {1, 2})
     assert prefix_bounds(spec) == {2: (1, None), 4: (2, None)}
     with pytest.raises(ValueError):
-        spec_for_P2n_flipped(2, {3})
+        spec_for_Pkn(2, 2, {3})
+    spec = spec_for_Pkn(3, 2, {2})
+    assert spec == AlcovedSpec(9, 3, (Bound(3, upper=1), Bound(6, lower=2)))
 
 
 def test_spec_validation():
@@ -119,7 +120,7 @@ def test_w_set_count_pkn_matches_fuss_and_dyck(k, n):
 
 @pytest.mark.parametrize("n,T", [(n, T) for n in (1, 2, 3) for T in all_subsets(n)])
 def test_w_set_count_flipped_matches_value_based_brute_count(n, T):
-    spec = spec_for_P2n_flipped(n, T)
+    spec = spec_for_Pkn(2, n, T)
     assert w_set_count(spec) == brute_w_set_count(spec)
 
 
@@ -196,7 +197,7 @@ def test_census_entries_match_flipped_spec_counts(n):
     census = exceedance_position_census(n)
     assert sum(census.values()) == eulerian(n, 2 * n + 1)
     for T, count in census.items():
-        assert count == w_set_count(spec_for_P2n_flipped(n, T))
+        assert count == w_set_count(spec_for_Pkn(2, n, T))
     for j in range(n + 1):
         total_j = sum(c for T, c in census.items() if len(T) == j)
         assert total_j == eulerian_catalan(n)

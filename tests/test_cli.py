@@ -83,8 +83,9 @@ def test_census_at_n_0(capsys):
     code, out, err = run_cli(capsys, "census", "--n", "-1", "--by-position")
     assert code == 2 and out == "" and err == "error: n must be >= 0\n"
     # P_{2,0}(T) is no polytope, so the census has no volumes to meet
-    code, out, err = run_cli(capsys, "verify", "census-vs-volumes", "--n", "0")
-    assert code == 2 and out == "" and err == "error: n must be >= 1\n"
+    for n in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "census-vs-volumes", "--n", n)
+        assert code == 2 and out == "" and err == "error: n must be >= 1\n"
 
 
 def test_forced_census_at_n_30(capsys):
@@ -129,6 +130,17 @@ def test_volume_json(capsys):
                            "--flip", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["ehrhart"]["normalized_volume"] == 11
+
+
+@pytest.mark.parametrize("n,flip,message", [
+    ("2", "3", "flip set [3] not a subset of 1..2"),
+    ("0", "3", "flip set [3] not a subset of 1..0"),  # the flip set is checked before n
+    ("0", "", "n must be >= 1"),
+    ("2", "1,x", "cannot parse flip set '1,x'"),
+])
+def test_volume_refuses_bad_p2n_slices(capsys, n, flip, message):
+    code, out, err = run_cli(capsys, "volume", "--shape", "p2n", "--n", n, "--flip", flip)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_volume_requires_k_for_pkn(capsys):

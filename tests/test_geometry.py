@@ -12,7 +12,7 @@ from eulercat import geometry
 from eulercat.alcoved import (
     AlcovedSpec,
     Bound,
-    spec_for_P2n_flipped,
+    all_subsets,
     spec_for_Pkn,
     spec_for_hypersimplex,
     w_set_count,
@@ -89,7 +89,7 @@ def test_count_dilated_trivial_cases():
         spec_for_hypersimplex(2, 4),
         spec_for_hypersimplex(2, 5),
         spec_for_Pkn(2, 1),
-        spec_for_P2n_flipped(1, {1}),
+        spec_for_Pkn(2, 1, {1}),
     ],
     ids=["d13", "d24", "d25", "p21", "p21-flipped"],
 )
@@ -106,7 +106,7 @@ def _pinned(ambient_n, level_k, j, extra=()):
 
 
 CHECKPOINT_SPECS = {
-    "p22-flipped-12": spec_for_P2n_flipped(2, {1, 2}),  # lower bounds on prefix checkpoints
+    "p22-flipped-12": spec_for_Pkn(2, 2, {1, 2}),  # lower bounds on prefix checkpoints
     "pin-1": _pinned(4, 2, 1),
     "pin-3": _pinned(4, 2, 3),
     "pin-4-cut": _pinned(5, 2, 4, (Bound(2, upper=1),)),
@@ -186,6 +186,12 @@ def prefix_bound_specs(draw, max_ambient=9):
 
 
 @given(prefix_bound_specs())
+@example(spec_for_Pkn(3, 1, ()))
+@example(spec_for_Pkn(3, 1, {1}))
+@example(spec_for_Pkn(3, 2, ()))
+@example(spec_for_Pkn(3, 2, {1}))
+@example(spec_for_Pkn(3, 2, {2}))
+@example(spec_for_Pkn(3, 2, {1, 2}))
 def test_w_set_count_is_the_ehrhart_volume(spec):
     # the two routes read one spec as one polytope: the permutation count is its
     # normalized volume, and 0 where the lattice count finds it empty or flat
@@ -361,10 +367,21 @@ def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flipped_volume_sum_at_one_exceedance(n):
     total = sum(
-        ehrhart_volume(spec_for_P2n_flipped(n, {t})).normalized_volume
+        ehrhart_volume(spec_for_Pkn(2, n, {t})).normalized_volume
         for t in range(1, n + 1)
     )
     assert total == eulerian_catalan(n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flipped_volumes_at_k_3_sum_to_fuss_at_every_size(n):
+    # observed, as at k = 2: P_{3,n}(T) over |T| = j sums to fuss(3, n) = 13, 1431
+    volumes = {
+        T: ehrhart_volume(spec_for_Pkn(3, n, T)).normalized_volume for T in all_subsets(n)
+    }
+    for size in range(n + 1):
+        total = sum(v for T, v in volumes.items() if len(T) == size)
+        assert total == fuss_eulerian_catalan(3, n)
 
 
 def test_ehrhart_record_json_shape():

@@ -11,7 +11,8 @@ from eulercat.orbit import (
     count_dyck_permutations,
     equidistribution_census,
 )
-from eulercat.permcore import ad_vector, descent_count
+from eulercat.paths import is_flaw_step
+from eulercat.permcore import ad_vector, descent_count, descent_word_walk
 from oracles import (
     dyck_to_s2n_bijection,
     enumerate_by_descent_count,
@@ -120,6 +121,19 @@ def test_count_dyck_matches_fuss(k, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_count_dyck_equals_two_central_eulerian_rows(n):
     assert count_dyck_permutations(n, 2) == eulerian(n - 1, 2 * n) + eulerian(n, 2 * n)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4) for n in range(5)])
+def test_flaw_count_is_uniform_at_higher_k(k, n):
+    # observed on the walk, not a result of the paper: among the permutations of
+    # S_{kn+k-1} with n descents, every flaw count 0..n holds fuss(k, n); bucket 0
+    # is the Dyck count
+    def step(x, y, flaws, letter):
+        return flaws + is_flaw_step(x, y, letter, k)
+
+    counts = descent_word_walk(k * n + k - 1, n, step, cap=k * n + k - 1)
+    assert counts == {j: fuss_eulerian_catalan(k, n) for j in range(n + 1)}
+    assert counts[0] == count_dyck_permutations(n, k, cap=k * n + k - 1)
 
 
 def test_count_dyck_rejects_bad_args():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eulercat.numbers import catalan
-from eulercat.paths import exceedance
+from eulercat.paths import exceedance, is_flaw_step
 from eulercat.permcore import ad_vector
 from oracles import (
     chung_feller_orbit,
@@ -25,6 +25,9 @@ binary_words = st.lists(st.integers(0, 1), max_size=12).map(tuple)
 diagonal_words = st.integers(0, 12).flatmap(
     lambda n: st.permutations((0,) * n + (1,) * n)
 ).map(tuple)
+long_diagonal_words = st.integers(0, 30).flatmap(
+    lambda n: st.permutations((0,) * n + (1,) * n)
+).map(tuple)
 
 
 def path_points(word):
@@ -38,6 +41,38 @@ def path_points(word):
             x += 1
         points.append((x, y))
     return points
+
+
+def flaw_rows(word, k):
+    """The rows y that the path climbs out of by a flaw."""
+    rows, x, y = set(), 0, 0
+    for letter in word:
+        if is_flaw_step(x, y, letter, k):
+            rows.add(y)
+        x, y = x + 1 - letter, y + letter
+    return frozenset(rows)
+
+
+def test_is_flaw_step_examples():
+    assert is_flaw_step(0, 0, 1, 2)  # North from the origin
+    assert not is_flaw_step(1, 0, 1, 2)  # North once (k-1)(y+1) East steps are taken
+    assert is_flaw_step(1, 0, 1, 3) and not is_flaw_step(2, 0, 1, 3)
+    assert is_flaw_step(3, 1, 1, 3) and not is_flaw_step(4, 1, 1, 3)
+    assert not is_flaw_step(0, 5, 0, 2)  # an East step is never a flaw
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_flaw_rows_are_the_exceedance_columns_exhaustively(n):
+    # every balanced word of length <= 16: a monotone path leaves column x above
+    # height x iff it climbs out of row x at a column <= x
+    for word in enumerate_diagonal_paths(n):
+        assert flaw_rows(word, 2) == exceedance_positions(word)
+
+
+@given(long_diagonal_words)
+def test_flaw_rows_are_the_exceedance_columns(word):
+    assert flaw_rows(word, 2) == exceedance_positions(word)
+    assert exceedance(word) == len(flaw_rows(word, 2))
 
 
 def test_is_k_ballot_examples():

@@ -1,7 +1,7 @@
 """The result records: construction-time validation and their JSON shapes."""
 import pytest
 
-from eulercat.alcoved import AlcovedSpec, Bound, spec_for_P2n_flipped, spec_for_Pkn
+from eulercat.alcoved import AlcovedSpec, Bound, spec_for_Pkn
 from eulercat.geometry import EhrhartRecord, ehrhart_volume, verify_subdivision
 from eulercat.orbit import analyze_orbit
 
@@ -20,7 +20,7 @@ def test_alcoved_spec_validates_at_construction():
 
 def test_record_json_shapes():
     assert Bound(2, upper=1).to_json_dict() == {"i": 0, "j": 2, "b": None, "c": 1}
-    assert spec_for_P2n_flipped(2, {2}).to_json_dict() == {
+    assert spec_for_Pkn(2, 2, {2}).to_json_dict() == {
         "ambient_n": 6,
         "level_k": 3,
         "bounds": [{"i": 0, "j": 2, "b": None, "c": 1}, {"i": 0, "j": 4, "b": 2, "c": None}],
