@@ -61,9 +61,9 @@ def render_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
-def _format_parser() -> argparse.ArgumentParser:
+def _format_parser(formats: list[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
+    parser.add_argument("--format", choices=formats, default="plain")
     return parser
 
 
@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Eulerian-Catalan counts, censuses, and polytope volumes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = [_format_parser()]
+    common = [_format_parser(["plain", "csv", "json"])]
     capped = common + [_caps_parser()]
+    report = [_format_parser(["plain", "json"])]  # a report is no table, so no csv
 
     p = sub.add_parser("eulerian-row", parents=common, help="one row of the Eulerian triangle")
     p.add_argument("--n", type=int, required=True)
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by-position", action="store_true",
                    help="bucket by the exact set of exceedance positions")
 
-    p = sub.add_parser("orbit", parents=common,
+    p = sub.add_parser("orbit", parents=report,
                        help="cyclic-orbit certificate for one permutation")
     p.add_argument("word", type=int, nargs="+", metavar="W")
 
@@ -125,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip",
                    help="comma-separated flip set T for --shape p2n, e.g. 1,2")
 
-    p = sub.add_parser("verify", parents=capped, help="run a cross-verification identity")
+    p = sub.add_parser("verify", parents=report + [_caps_parser()],
+                       help="run a cross-verification identity")
     p.add_argument("target", choices=[
         "equidistribution", "subdivision", "alcoved-vs-dyck", "census-vs-volumes",
     ])
@@ -195,7 +197,7 @@ def _cmd_orbit(args) -> tuple[int, str]:
         [start, " ".join(str(v) for v in w), exc]
         for (start, w), exc in zip(cert.shifts, cert.exceedances)
     ]
-    table = render_table(["start", "shift", "exceedance"], rows, args.format)
+    table = render_table(["start", "shift", "exceedance"], rows, "plain")
     return EXIT_OK, f"case: {cert.case_tag}\n{table}"
 
 
@@ -296,6 +298,9 @@ def _verify_census_vs_volumes(args, cap: int, ambient_cap: int) -> tuple[bool, d
 
 
 def _cmd_verify(args) -> tuple[int, str]:
+    if args.k != 2 and args.target in ("equidistribution", "census-vs-volumes"):
+        raise ValueError(f"--k applies only to subdivision and alcoved-vs-dyck; "
+                         f"{args.target} is k = 2")
     cap, ambient_cap = _caps(args)
     if args.target == "equidistribution":
         ok, report = _verify_equidistribution(args, cap)

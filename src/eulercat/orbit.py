@@ -4,9 +4,10 @@ exceedance equidistribution and Dyck-permutation counting.
 
 Among the 2n+1 cyclic shifts of a permutation with n descents, exactly
 n+1 have n descents, and the lattice paths of those n+1 shifts realize
-every exceedance value 0..n exactly once.  analyze_orbit materializes
-that statement as a checked certificate.  The census counts k = 2 flaws
-(paths.is_flaw_step), and the Dyck count drops every flaw at its own k.
+every exceedance value 0..n exactly once.  analyze_orbit reads that
+statement off one word, the cyclic ad-word of w, and checks it.  The
+census counts k = 2 flaws (paths.is_flaw_step), and the Dyck count drops
+every flaw at its own k.
 """
 from __future__ import annotations
 
@@ -18,9 +19,6 @@ from .permcore import (
     Permutation,
     ad_vector,
     as_permutation,
-    cyclic_descent_positions,
-    cyclic_shift,
-    descent_count,
     descent_word_walk,
     format_permutation,
 )
@@ -37,10 +35,6 @@ class OrbitCertificate(NamedTuple):
     case_tag: str
     shifts: tuple[tuple[int, Permutation], ...]  # (start index, shifted word)
     exceedances: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return (len(self.base) - 1) // 2
 
     def to_json_dict(self) -> dict:
         return {
@@ -60,61 +54,37 @@ class OrbitCertificate(NamedTuple):
 
 def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
     """
-    Certify the cyclic orbit of w in S_{2n+1} with n descents: classify by
-    cyclic-descent count, list the n+1 shifts with n descents, and check
-    that their exceedances are exactly {0..n}.
+    Certify the cyclic orbit of w in S_{2n+1} with n descents from its
+    cyclic ad-word c, whose letter i is the pair (w_{i+1}, w_{i+2}) and
+    whose last letter is the wrap pair (w_m, w_1).  The shift that starts
+    at r reads c from letter r-1 round to letter r-2, the pair
+    (w_{r-1}, w_r), which it drops; so it has sum(c) - c[r-2] descents and
+    is listed iff the dropped letter is the case bit sum(c) > n.  Checks
+    that the listed exceedances are exactly {0..n}.
     """
     w = as_permutation(word)
     m = len(w)
     if m % 2 == 0:
         raise ValueError(f"orbit analysis needs odd length, got m = {m}")
     n = (m - 1) // 2
-    if descent_count(w) != n:
-        raise ValueError(
-            f"expected {n} descents for m = {m}, got {descent_count(w)}"
-        )
+    c = ad_vector(w + w[:1])
+    descents = sum(c) - c[-1]
+    if descents != n:
+        raise ValueError(f"expected {n} descents for m = {m}, got {descents}")
 
-    cyclic = cyclic_descent_positions(w)
-    if len(cyclic) == n:
-        case_tag, want_descent_pair = CASE_N, False
-    elif len(cyclic) == n + 1:
-        case_tag, want_descent_pair = CASE_N_PLUS_ONE, True
-    else:
-        raise InvariantError(
-            f"cyclic descent count {len(cyclic)} outside {{n, n+1}}"
-        )
-
-    # start at position i when the preceding cyclic pair (w_{i-1}, w_i)
-    # is a descent (case n+1) or a non-descent (case n); i = 1 wraps to
-    # the pair (w_m, w_1), recorded as cyclic index m.
-    starts = []
-    for i in range(1, m + 1):
-        pair_index = i - 1 if i > 1 else m
-        if (pair_index in cyclic) == want_descent_pair:
-            starts.append(i)
-    if len(starts) != n + 1:
-        raise InvariantError(f"expected {n + 1} start indices, got {starts}")
-
+    case_bit = int(sum(c) > n)
     shifts = []
     exceedances = []
-    other_descents = n - 1 if case_tag == CASE_N else n + 1
     for r in range(1, m + 1):
-        shifted = cyclic_shift(w, r)
-        d = descent_count(shifted)
-        if r in starts:
-            if d != n:
-                raise InvariantError(f"listed shift {shifted} has {d} descents")
-            shifts.append((r, shifted))
-            exceedances.append(exceedance(ad_vector(shifted)))
-        elif d != other_descents:
-            raise InvariantError(
-                f"unlisted shift {shifted} has {d} descents, expected {other_descents}"
-            )
+        if c[r - 2] == case_bit:  # r = 1 drops the wrap letter c[-1]
+            shifts.append((r, w[r - 1:] + w[:r - 1]))
+            exceedances.append(exceedance((c[r - 1:] + c[:r - 1])[:-1]))
 
     if sorted(exceedances) != list(range(n + 1)):
         raise InvariantError(
             f"exceedances {exceedances} are not a permutation of 0..{n}"
         )
+    case_tag = CASE_N_PLUS_ONE if case_bit else CASE_N
     return OrbitCertificate(w, case_tag, tuple(shifts), tuple(exceedances))
 
 

@@ -1,14 +1,15 @@
 """
-Permutations and their linear/cyclic descent statistics.
+Permutations, their ascent/descent words, and the one counting engine.
 
 A permutation of [m] is stored in one-line notation as a tuple of the
 values (w_1, ..., w_m), each of 1..m exactly once.  All positions and
 values in this package are 1-based, matching the usual combinatorics
 convention; the tuple index is therefore position minus one.
 
-Descent positions are indices i in 1..m-1 with w_i > w_{i+1}.  Cyclic
-descent positions additionally allow index m for the wrap pair
-(w_m, w_1).  For m = 1 the wrap pair (w_1, w_1) is never a descent.
+A descent is an index i in 1..m-1 with w_i > w_{i+1}; the ad-word of w
+has a 1 there and a 0 at each ascent.  The cyclic ad-word of w is the
+ad-word of w_1 ... w_m w_1: one more letter, for the wrap pair (w_m, w_1),
+which for m = 1 is (w_1, w_1) and never a descent.
 
 Every count in the package depends on a permutation only through its
 ascent/descent word, so descent_word_walk is the one counting engine: it
@@ -35,35 +36,9 @@ def as_permutation(word: Sequence[int]) -> Permutation:
     return w
 
 
-def descent_positions(w: Sequence[int]) -> frozenset[int]:
-    """Indices i in 1..m-1 with w_i > w_{i+1}."""
-    return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def descent_count(w: Sequence[int]) -> int:
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def cyclic_descent_positions(w: Sequence[int]) -> frozenset[int]:
-    """descent_positions(w), plus index m iff the wrap pair (w_m, w_1) descends."""
-    m = len(w)
-    pos = set(descent_positions(w))
-    if m > 1 and w[-1] > w[0]:
-        pos.add(m)
-    return frozenset(pos)
-
-
 def ad_vector(w: Sequence[int]) -> tuple[int, ...]:
     """The ascent/descent vector: length m-1, entry 1 at descents, 0 at ascents."""
     return tuple(1 if w[i] > w[i + 1] else 0 for i in range(len(w) - 1))
-
-
-def cyclic_shift(w: Sequence[int], r: int) -> Permutation:
-    """The rotation w_r w_{r+1} ... w_m w_1 ... w_{r-1}, for 1 <= r <= m."""
-    m = len(w)
-    if not 1 <= r <= m:
-        raise ValueError(f"shift start {r} outside 1..{m}")
-    return tuple(w[r - 1:]) + tuple(w[:r - 1])
 
 
 def descent_word_walk(

@@ -1,15 +1,58 @@
 """
 Brute-force references over S_m that the tests compare the engines
 against, the East-step exceedance (the paper's definition, which the flaw
-rule replaced), the whole-word path statistics, the full-window
-lattice-count DP that the banded one replaced, and the Chung-Feller
-machinery on 0/1 words (0 = East, 1 = North) that only the tests run.
+rule replaced), the whole-word path statistics, the linear and cyclic
+descent scans and the shift-by-shift orbit certificate that the cyclic
+ad-word replaced, the full-window lattice-count DP that the banded one
+replaced, and the Chung-Feller machinery on 0/1 words (0 = East,
+1 = North) that only the tests run.
 """
 import itertools
 from collections import Counter
 
-from eulercat.orbit import analyze_orbit
-from eulercat.permcore import ad_vector, as_permutation, cyclic_shift, descent_count
+from eulercat.orbit import CASE_N, CASE_N_PLUS_ONE, OrbitCertificate, analyze_orbit
+from eulercat.permcore import ad_vector, as_permutation
+
+
+def descent_positions(w):
+    """Indices i in 1..m-1 with w_i > w_{i+1}."""
+    return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def descent_count(w):
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def cyclic_descent_positions(w):
+    """descent_positions(w), plus index m iff the wrap pair (w_m, w_1) descends."""
+    m = len(w)
+    pos = set(descent_positions(w))
+    if m > 1 and w[-1] > w[0]:
+        pos.add(m)
+    return frozenset(pos)
+
+
+def cyclic_shift(w, r):
+    """The rotation w_r w_{r+1} ... w_m w_1 ... w_{r-1}, for 1 <= r <= m."""
+    m = len(w)
+    if not 1 <= r <= m:
+        raise ValueError(f"shift start {r} outside 1..{m}")
+    return tuple(w[r - 1:]) + tuple(w[:r - 1])
+
+
+def scan_orbit(w):
+    """
+    The orbit certificate of w in S_{2n+1} with n descents, by scanning
+    every shift as a permutation: the case from the cyclic descent count,
+    the shifts with n descents in start order, and the paper's East-step
+    exceedance of each.
+    """
+    n = (len(w) - 1) // 2
+    case = CASE_N_PLUS_ONE if len(cyclic_descent_positions(w)) == n + 1 else CASE_N
+    every_shift = ((r, cyclic_shift(w, r)) for r in range(1, len(w) + 1))
+    shifts = tuple((r, s) for r, s in every_shift if descent_count(s) == n)
+    exceedances = tuple(len(exceedance_positions(ad_vector(s))) for _, s in shifts)
+    return OrbitCertificate(tuple(w), case, shifts, exceedances)
 
 
 def is_k_ballot(bits, k):

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -244,6 +246,55 @@ def test_option_surface_is_pinned():
         "volume": {"--shape", "--k", "--n", "--flip", "--format", "--force"},
         "verify": {"target", "--n", "--k", "--format", "--force"},
     }
+
+
+SAMPLE_ARGV = {
+    "eulerian-row": ("--n", "4"),
+    "ec": ("--max-n", "2"),
+    "fuss": ("--k", "3", "--n", "1"),
+    "catalan": ("--max-n", "3"),
+    "dyck-count": ("--n", "2"),
+    "census": ("--n", "2"),
+    "orbit": ("2", "4", "1", "5", "3"),
+    "volume": ("--shape", "pkn", "--k", "2", "--n", "2"),
+    "verify": ("equidistribution", "--n", "2"),
+}
+
+
+COMMANDS = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_accepted_format_is_that_format(capsys, command, fmt):
+    argv = [command, *SAMPLE_ARGV[command], "--format", fmt]
+    formats = next(a for a in COMMANDS[command]._actions if "--format" in a.option_strings)
+    if fmt not in formats.choices:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert all(cell and ":" not in cell for cell in header)
+
+
+@pytest.mark.parametrize("target,n,k", [("equidistribution", "2", "3"),
+                                        ("census-vs-volumes", "1", "5")])
+def test_verify_refuses_k_its_target_ignores(capsys, target, n, k):
+    # these targets count at k = 2 only; subdivision and alcoved-vs-dyck read --k
+    code, out, err = run_cli(capsys, "verify", target, "--n", n, "--k", k)
+    assert code == 2 and out == ""
+    assert err == (f"error: --k applies only to subdivision and alcoved-vs-dyck; "
+                   f"{target} is k = 2\n")
+    code, out, _ = run_cli(capsys, "verify", target, "--n", n, "--k", "2")
+    assert code == 0 and out.startswith("PASS")
 
 
 def test_closed_stdout_exits_141_quietly():

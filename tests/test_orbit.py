@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eulercat.errors import ScaleCapError
 from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
@@ -12,14 +13,17 @@ from eulercat.orbit import (
     equidistribution_census,
 )
 from eulercat.paths import is_flaw_step
-from eulercat.permcore import ad_vector, descent_count, descent_word_walk
+from eulercat.permcore import ad_vector, descent_word_walk
 from oracles import (
+    cyclic_shift,
+    descent_count,
     dyck_to_s2n_bijection,
     enumerate_by_descent_count,
     exceedance_positions,
     is_dyck_permutation,
     is_k_ballot,
     orbit_census,
+    scan_orbit,
 )
 
 
@@ -47,9 +51,34 @@ def test_analyze_orbit_invariants_exhaustively(n):
         cert = analyze_orbit(w)
         seen += 1
         assert sorted(cert.exceedances) == list(range(n + 1))
-        assert all(descent_count(s) == n for _, s in cert.shifts)
+        every_shift = [(r, cyclic_shift(w, r)) for r in range(1, m + 1)]
+        assert cert.shifts == tuple((r, s) for r, s in every_shift if descent_count(s) == n)
         assert cert.case_tag in (CASE_N, CASE_N_PLUS_ONE)
     assert seen == eulerian(n, m)
+
+
+@st.composite
+def central_class_words(draw, max_n=20):
+    """A permutation of [2n+1] with n descents: each entry is inserted into
+    the value order of the entries before it, below the previous entry at a
+    descent and above it at an ascent."""
+    n = draw(st.integers(0, max_n))
+    word = draw(st.permutations([1] * n + [0] * n))
+    order = [0]  # positions placed so far, by increasing value
+    for position, letter in enumerate(word, start=1):
+        previous = order.index(position - 1)
+        low, high = (0, previous) if letter else (previous + 1, len(order))
+        order.insert(draw(st.integers(low, high)), position)
+    w = [0] * len(order)
+    for value, position in enumerate(order, start=1):
+        w[position] = value
+    return tuple(w)
+
+
+@given(central_class_words())
+def test_analyze_orbit_matches_the_shift_scan(w):
+    assert descent_count(w) == (len(w) - 1) // 2
+    assert analyze_orbit(w) == scan_orbit(w)
 
 
 @pytest.mark.parametrize("n", [1, 2])

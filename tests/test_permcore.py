@@ -8,16 +8,18 @@ from eulercat.permcore import (
     DEFAULT_FACTORIAL_CAP,
     ad_vector,
     as_permutation,
-    cyclic_descent_positions,
-    cyclic_shift,
-    descent_count,
-    descent_positions,
     descent_word_walk,
     format_permutation,
 )
 
 from eulercat.errors import ScaleCapError
-from oracles import complement, enumerate_by_descent_count
+from oracles import (
+    complement,
+    cyclic_descent_positions,
+    cyclic_shift,
+    descent_positions,
+    enumerate_by_descent_count,
+)
 
 from conftest import permutations_st, perms_of
 

@@ -51,7 +51,6 @@ def test_record_json_shapes():
         "passed": True,
     }
     cert = analyze_orbit((2, 4, 1, 5, 3))
-    assert cert.n == 2
     assert cert.to_json_dict() == {
         "base": "2 4 1 5 3",
         "case": "n-plus-one-cyclic-descents",
