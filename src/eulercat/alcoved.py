@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DEFAULT_FACTORIAL_CAP
+from .errors import Budget
 
 
 class Bound(NamedTuple):
@@ -88,7 +88,7 @@ def spec_for_Pkn(k: int, n: int, flipped: Iterable[int] = ()) -> AlcovedSpec:
     return AlcovedSpec(ambient_n=k * (n + 1), level_k=n + 1, bounds=prefix)
 
 
-def w_set_count(spec: AlcovedSpec, cap: int = DEFAULT_FACTORIAL_CAP) -> int:
+def w_set_count(spec: AlcovedSpec, cap: Optional[Budget] = None) -> int:
     """
     |W(k, n, b, c)|: permutations of [ambient_n - 1] with level_k - 1
     descents meeting every bound condition.  Equals the normalized
@@ -132,8 +132,7 @@ def subset_key(T: Iterable[int]) -> str:
 
 
 def exceedance_position_census(
-    n: int,
-    cap: int = DEFAULT_FACTORIAL_CAP,
+    n: int, cap: Optional[Budget] = None
 ) -> dict[tuple[int, ...], int]:
     """
     For each T subset of {1..n}: count w in S_{2n+1} with n descents whose

@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import numbers
-from .errors import DEFAULT_AMBIENT_CAP, DEFAULT_FACTORIAL_CAP, InvariantError, ScaleCapError
+from .errors import WORK_CAP, Budget, InvariantError, ScaleCapError
 
 if TYPE_CHECKING:
     from .alcoved import AlcovedSpec
@@ -29,8 +29,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_SCALE_CAP = 3
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
-
-UNCAPPED = 10**9
 
 
 def render_table(headers: list[str], rows: list[list], fmt: str) -> str:
@@ -67,18 +65,16 @@ def _format_parser(formats: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _caps_parser() -> argparse.ArgumentParser:
+def _cap_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--force", action="store_true", help=(
-        f"lift the scale caps: S_{DEFAULT_FACTORIAL_CAP} for descent-word counting, "
-        f"{DEFAULT_AMBIENT_CAP} coordinates for the lattice-point DP"))
+        f"lift the work cap of {WORK_CAP} cells that the command's counts and volumes share"))
     return parser
 
 
-def _caps(args) -> tuple[int, int]:
-    if args.force:
-        return UNCAPPED, UNCAPPED
-    return DEFAULT_FACTORIAL_CAP, DEFAULT_AMBIENT_CAP
+def _budget(args) -> Optional[Budget]:
+    """The one budget that every engine call of the command charges; none under --force."""
+    return None if args.force else Budget()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = [_format_parser(["plain", "csv", "json"])]
-    capped = common + [_caps_parser()]
+    capped = common + [_cap_parser()]
     report = [_format_parser(["plain", "json"])]  # a report is no table, so no csv
 
     p = sub.add_parser("eulerian-row", parents=common, help="one row of the Eulerian triangle")
@@ -126,11 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip",
                    help="comma-separated flip set T for --shape p2n, e.g. 1,2")
 
-    p = sub.add_parser("verify", parents=report + [_caps_parser()],
+    p = sub.add_parser("verify", parents=report + [_cap_parser()],
                        help="run a cross-verification identity")
-    p.add_argument("target", choices=[
-        "equidistribution", "subdivision", "alcoved-vs-dyck", "census-vs-volumes",
-    ])
+    p.add_argument("target", choices=list(_VERIFY))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
 
@@ -138,15 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eulerian_row(args) -> tuple[int, str]:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     rows = [[m, count] for m, count in enumerate(numbers.eulerian_row(args.n))]
     return EXIT_OK, render_table(["m", "count"], rows, args.format)
 
 
 def _cmd_ec(args) -> tuple[int, str]:
-    if args.max_n < 0:
-        raise ValueError("--max-n must be >= 0")
     rows = [[n, ec] for n, ec in enumerate(numbers.eulerian_catalan_upto(args.max_n))]
     return EXIT_OK, render_table(["n", "ec"], rows, args.format)
 
@@ -166,14 +156,13 @@ def _cmd_catalan(args) -> tuple[int, str]:
 def _cmd_dyck_count(args) -> tuple[int, str]:
     from . import orbit
 
-    cap, _ = _caps(args)
-    count = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
+    count = orbit.count_dyck_permutations(args.n, args.k, _budget(args))
     rows = [[args.n, args.k, count]]
     return EXIT_OK, render_table(["n", "k", "count"], rows, args.format)
 
 
 def _cmd_census(args) -> tuple[int, str]:
-    cap, _ = _caps(args)
+    cap = _budget(args)
     if args.by_position:
         from . import alcoved
 
@@ -229,9 +218,8 @@ def _volume_spec(args) -> AlcovedSpec:
 def _cmd_volume(args) -> tuple[int, str]:
     from . import geometry
 
-    _, ambient_cap = _caps(args)
     spec = _volume_spec(args)
-    record = geometry.ehrhart_volume(spec, cap=ambient_cap)
+    record = geometry.ehrhart_volume(spec, _budget(args))
     if args.format == "json":
         return EXIT_OK, render_json(
             {"spec": spec.to_json_dict(), "ehrhart": record.to_json_dict()}
@@ -240,7 +228,7 @@ def _cmd_volume(args) -> tuple[int, str]:
     return EXIT_OK, render_table(["shape", "dimension", "volume"], rows, args.format)
 
 
-def _verify_equidistribution(args, cap: int) -> tuple[bool, dict]:
+def _verify_equidistribution(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import orbit
 
     census = orbit.equidistribution_census(args.n, cap=cap)
@@ -254,14 +242,14 @@ def _verify_equidistribution(args, cap: int) -> tuple[bool, dict]:
     }
 
 
-def _verify_subdivision(args, ambient_cap: int) -> tuple[bool, dict]:
+def _verify_subdivision(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import geometry
 
-    report = geometry.verify_subdivision(args.k, args.n, cap=ambient_cap)
+    report = geometry.verify_subdivision(args.k, args.n, cap=cap)
     return report.passed, {"target": "subdivision", **report.to_json_dict()}
 
 
-def _verify_alcoved_vs_dyck(args, cap: int) -> tuple[bool, dict]:
+def _verify_alcoved_vs_dyck(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import alcoved, orbit
 
     via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n), cap=cap)
@@ -275,7 +263,7 @@ def _verify_alcoved_vs_dyck(args, cap: int) -> tuple[bool, dict]:
     }
 
 
-def _verify_census_vs_volumes(args, cap: int, ambient_cap: int) -> tuple[bool, dict]:
+def _verify_census_vs_volumes(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import alcoved, geometry
 
     if args.n < 1:
@@ -285,7 +273,7 @@ def _verify_census_vs_volumes(args, cap: int, ambient_cap: int) -> tuple[bool, d
     mismatches = []
     for T, count in census.items():
         spec = alcoved.spec_for_Pkn(2, args.n, T)
-        volume = geometry.ehrhart_volume(spec, cap=ambient_cap).normalized_volume
+        volume = geometry.ehrhart_volume(spec, cap=cap).normalized_volume
         entries[alcoved.subset_key(T)] = {"census": count, "volume": volume}
         if count != volume:
             mismatches.append(alcoved.subset_key(T))
@@ -297,19 +285,19 @@ def _verify_census_vs_volumes(args, cap: int, ambient_cap: int) -> tuple[bool, d
     }
 
 
+_VERIFY = {
+    "equidistribution": _verify_equidistribution,
+    "subdivision": _verify_subdivision,
+    "alcoved-vs-dyck": _verify_alcoved_vs_dyck,
+    "census-vs-volumes": _verify_census_vs_volumes,
+}
+
+
 def _cmd_verify(args) -> tuple[int, str]:
     if args.k != 2 and args.target in ("equidistribution", "census-vs-volumes"):
         raise ValueError(f"--k applies only to subdivision and alcoved-vs-dyck; "
                          f"{args.target} is k = 2")
-    cap, ambient_cap = _caps(args)
-    if args.target == "equidistribution":
-        ok, report = _verify_equidistribution(args, cap)
-    elif args.target == "subdivision":
-        ok, report = _verify_subdivision(args, ambient_cap)
-    elif args.target == "alcoved-vs-dyck":
-        ok, report = _verify_alcoved_vs_dyck(args, cap)
-    else:
-        ok, report = _verify_census_vs_volumes(args, cap, ambient_cap)
+    ok, report = _VERIFY[args.target](args, _budget(args))
     report["status"] = "PASS" if ok else "FAIL"
     code = EXIT_OK if ok else EXIT_VERIFY_FAILED
     if args.format == "json":

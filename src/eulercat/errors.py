@@ -1,21 +1,31 @@
-"""Shared exception types and the default scale caps they enforce."""
+"""Shared exception types and the one work cap, counted in cells, that they enforce."""
 
-# Descent-word counting over S_m walks the words letter by letter and lists none of them:
-# in-process, census --n 7 (S_15) takes about 1 ms and --by-position 3.4 ms.  The cap
-# stays at S_15 because the costliest command it admits, verify census-vs-volumes --n 7,
-# also computes 128 Ehrhart volumes and takes about 0.3 s end to end, a few interpreter
-# start-ups (CPython 3.11, one core, best of 3)
-DEFAULT_FACTORIAL_CAP = 15
-
-# Volumes up to 43 coordinates take at most ~0.08 s, one interpreter start-up, on the
-# banded lattice DP: the slowest shape at 43 is a middle level, Delta(16, 43) 0.07 s; at 32
-# Delta(17, 32) 0.024 s and Delta(31, 32) 0.005 s; at 44 Delta(18, 44) takes 0.08-0.09 s
-# (every level k of Delta(k, N) and every P_{k,n}, CPython 3.11, one core, best of 3)
-DEFAULT_AMBIENT_CAP = 43
+# A cell is one entry that an engine fills: a rank-row entry of the descent-word walk or
+# a DP-row entry of the Ehrhart count.  The cap sits between the largest Delta(k, 43),
+# Delta(22, 43) with 419,078 cells (0.04-0.06 s), and Delta(22, 44) with 459,844, so
+# `volume` admits every slice the old 43-coordinate cap did; verify census-vs-volumes
+# fills 351k cells at --n 7 and 1.01M at --n 8.  The walk fills 3-5M cells/s and the DP
+# 6-10M, so the walk's costliest admitted count, census --n 30 (399,775 cells), takes
+# 0.08-0.13 s (CPython 3.11, shared 2-vCPU machine, in-process, best of 3)
+WORK_CAP = 440_000
 
 
 class ScaleCapError(Exception):
-    """A computation was refused because it exceeds the configured scale cap."""
+    """A computation was refused because it exceeds the work cap."""
+
+
+class Budget:
+    """The cells one command may fill; every engine call it makes charges the same budget."""
+
+    __slots__ = ("filled",)
+
+    def __init__(self):
+        self.filled = 0
+
+    def charge(self, cells: int) -> None:
+        self.filled += cells
+        if self.filled > WORK_CAP:
+            raise ScaleCapError(f"the work passes the cap of {WORK_CAP} cells")
 
 
 class InvariantError(Exception):

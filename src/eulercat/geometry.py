@@ -23,10 +23,10 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
-from .errors import DEFAULT_AMBIENT_CAP, InvariantError, ScaleCapError
+from .errors import Budget, InvariantError
 from .numbers import eulerian, fuss_eulerian_catalan
 
 if TYPE_CHECKING:
@@ -41,14 +41,19 @@ class DegenerateDimensionError(ValueError):
     """The interpolated polynomial has degree < d: the polytope is lower-dimensional."""
 
 
-def _windows(spec: AlcovedSpec, t: int) -> list[tuple[int, int]]:
+def _windows(
+    spec: AlcovedSpec, t: int, cap: Optional[Budget] = None
+) -> list[tuple[int, int]]:
     """
     The band [lo_i, hi_i] of prefix sums x_1 + ... + x_i, i = 0..N, that lie
     on some lattice point of the t-fold dilate.  A forward pass keeps the
     sums reachable from 0 in steps of 0..t within every bound, a backward
     pass those that can still reach t * level_k.  An empty dilate shows as
-    a crossed window, lo_i > hi_i.
+    a crossed window, lo_i > hi_i.  Charges cap (None: no limit) with the
+    window widths: one cell per window before building them, the rest after.
     """
+    if cap is not None:
+        cap.charge(spec.ambient_n + 1)
     target = t * spec.level_k
     clamps = [(0, target)] * spec.ambient_n + [(target, target)]
     for bd in spec.bounds:
@@ -65,6 +70,8 @@ def _windows(spec: AlcovedSpec, t: int) -> list[tuple[int, int]]:
     for i in range(spec.ambient_n - 1, -1, -1):
         (lo, hi), (nlo, nhi) = windows[i], windows[i + 1]
         windows[i] = (max(lo, nlo - t), min(hi, nhi))
+    if cap is not None:
+        cap.charge(sum(max(hi - lo, 0) for lo, hi in windows))
     return windows
 
 
@@ -86,14 +93,17 @@ def _dp_step(
     return prefix, list(map(operator.sub, prefix[t + 1 :], prefix))
 
 
-def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
+def count_dilated_lattice_points(
+    spec: AlcovedSpec, t: int, cap: Optional[Budget] = None
+) -> int:
     """
     Number of integer points of the t-fold dilate: 0 <= x_i <= t,
-    sum x_i = t * level_k, prefix sums within t-scaled bounds.
+    sum x_i = t * level_k, prefix sums within t-scaled bounds.  Charges cap
+    (None: no limit) with the DP's cells before the DP runs.
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    windows = _windows(spec, t)
+    windows = _windows(spec, t, cap)
     if any(lo > hi for lo, hi in windows):
         return 0
     row = [1]
@@ -152,18 +162,14 @@ class EhrhartRecord(NamedTuple):
         }
 
 
-def ehrhart_volume(spec: AlcovedSpec, cap: int = DEFAULT_AMBIENT_CAP) -> EhrhartRecord:
+def ehrhart_volume(spec: AlcovedSpec, cap: Optional[Budget] = None) -> EhrhartRecord:
     """
     Evaluate the lattice-point count at t = 0..d, interpolate d! times the
     Ehrhart polynomial, and return the record; its leading coefficient is
     the normalized volume.
     """
-    if spec.ambient_n > cap:
-        raise ScaleCapError(
-            f"ambient dimension {spec.ambient_n} exceeds the cap of {cap}"
-        )
     d = spec.ambient_n - 1
-    evaluations = tuple(count_dilated_lattice_points(spec, t) for t in range(d + 1))
+    evaluations = tuple(count_dilated_lattice_points(spec, t, cap) for t in range(d + 1))
     # integer bounds make the polytope a lattice polytope: if nonempty, its
     # vertices are lattice points of the undilated copy (t = 1)
     if evaluations[1] < 1:
@@ -204,16 +210,17 @@ def _piece_memberships(
 
 
 def _sample_hypersimplex_points(
-    k: int, n: int, count: int, rng: random.Random
+    k: int, n: int, count: int, rng: random.Random, cap: Optional[Budget] = None
 ) -> list[tuple[int, ...]]:
     """
     Numerators of count exactly uniform lattice points of PROBE_DENOMINATOR *
     Delta(n+1, k(n+1)).  The lattice-count DP of the dilate keeps each
     step's prefix table; walking back from the full sum, each coordinate is
     drawn by inverse CDF, one randrange and one bisect per coordinate.
+    Charges cap with the DP's cells, as count_dilated_lattice_points does.
     """
     t = PROBE_DENOMINATOR
-    windows = _windows(spec_for_hypersimplex(n + 1, k * (n + 1)), t)
+    windows = _windows(spec_for_hypersimplex(n + 1, k * (n + 1)), t, cap)
     tables, row = [], [1]
     for previous, window in zip(windows, windows[1:]):
         prefix, row = _dp_step(row, t, previous, window)
@@ -276,7 +283,7 @@ class SubdivisionReport(NamedTuple):
         }
 
 
-def verify_subdivision(k: int, n: int, cap: int = DEFAULT_AMBIENT_CAP) -> SubdivisionReport:
+def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> SubdivisionReport:
     """
     Check that n+1 copies of P_{k,n} fill the hypersimplex volume and
     probe random rational points for coverage and disjoint interiors.
@@ -302,7 +309,7 @@ def verify_subdivision(k: int, n: int, cap: int = DEFAULT_AMBIENT_CAP) -> Subdiv
 
     import random
 
-    points = _sample_hypersimplex_points(k, n, PROBE_SAMPLES, random.Random(PROBE_SEED))
+    points = _sample_hypersimplex_points(k, n, PROBE_SAMPLES, random.Random(PROBE_SEED), cap)
     if len(points) < PROBE_SAMPLES:
         failures.append(f"drew only {len(points)} of {PROBE_SAMPLES} probe points")
     interior_hits = [0] * (n + 1)

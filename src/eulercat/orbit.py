@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InvariantError
+from .errors import Budget, InvariantError
 from .permcore import (
-    DEFAULT_FACTORIAL_CAP,
     Permutation,
     ad_vector,
     as_permutation,
@@ -88,7 +87,7 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
     return OrbitCertificate(w, case_tag, tuple(shifts), tuple(exceedances))
 
 
-def equidistribution_census(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> dict[int, int]:
+def equidistribution_census(n: int, cap: Optional[Budget] = None) -> dict[int, int]:
     """
     Census of w in S_{2n+1} with n descents by exc(L(w)): the walk keys
     each ad-word by its k = 2 flaws so far.  Every bucket j = 0..n holds
@@ -104,11 +103,7 @@ def equidistribution_census(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> dict[in
     return {j: counts.get(j, 0) for j in range(n + 1)}
 
 
-def count_dyck_permutations(
-    n: int,
-    k: int = 2,
-    cap: int = DEFAULT_FACTORIAL_CAP,
-) -> int:
+def count_dyck_permutations(n: int, k: int = 2, cap: Optional[Budget] = None) -> int:
     """
     Count of w in S_{kn+k-1} with n descents whose ad-vector is a
     (k-1)-ballot sequence, with no flaw; equals fuss_eulerian_catalan(k, n).

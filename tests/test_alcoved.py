@@ -14,7 +14,7 @@ from eulercat.alcoved import (
     subset_key,
     w_set_count,
 )
-from eulercat.errors import ScaleCapError
+from eulercat.errors import WORK_CAP, Budget, ScaleCapError
 from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
 from eulercat.orbit import count_dyck_permutations
 from eulercat.permcore import ad_vector
@@ -166,8 +166,14 @@ def test_w_set_walk_matches_value_based_brute_count_in_s8(spec):
 
 
 def test_w_set_count_scale_cap():
+    # the W-set walk of P_{2,8} and the Dyck walk at (2, 8) fill 404 cells each, and
+    # one budget is charged by both
+    budget = Budget()
+    budget.charge(WORK_CAP - 2 * 404)
+    assert w_set_count(spec_for_Pkn(2, 8), budget) == count_dyck_permutations(8, 2, budget)
+    assert budget.filled == WORK_CAP
     with pytest.raises(ScaleCapError):
-        w_set_count(spec_for_Pkn(2, 8))  # S_17
+        w_set_count(spec_for_Pkn(2, 8), budget)
 
 
 def test_exceedance_position_census_examples():
@@ -188,8 +194,8 @@ def test_position_census_walk_matches_brute_force(n):
 
 
 def test_uncapped_walks_match_the_numbers():
-    assert w_set_count(spec_for_Pkn(2, 50), cap=10**9) == eulerian_catalan(50)
-    assert sum(exceedance_position_census(10, cap=10**9).values()) == eulerian(10, 21)
+    assert w_set_count(spec_for_Pkn(2, 50), cap=None) == eulerian_catalan(50)
+    assert sum(exceedance_position_census(10, cap=None).values()) == eulerian(10, 21)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -10,7 +10,7 @@ import pytest
 
 from eulercat import geometry
 from eulercat.cli import build_parser, main
-from eulercat.numbers import eulerian_catalan
+from eulercat.numbers import eulerian, eulerian_catalan
 
 
 def run_cli(capsys, *argv):
@@ -176,25 +176,83 @@ def test_verify_targets_pass(capsys, argv):
     assert out.startswith("PASS")
 
 
+CAP_REFUSAL = "error: the work passes the cap of 440000 cells; pass --force to proceed\n"
+
+
 def test_scale_cap_refusal(capsys):
-    # S_15 (census --n 7) is the default cap's edge; S_17 is refused
-    code, out, _ = run_cli(capsys, "census", "--n", "7", "--format", "csv")
-    assert code == 0 and out.splitlines()[1:] == [f"{j},{eulerian_catalan(7)}" for j in range(8)]
-    code, out, err = run_cli(capsys, "census", "--n", "8")
+    # census --n 8 fills 3,104 cells; --n 31 fills 453,375, past the cap of 440,000
+    code, out, _ = run_cli(capsys, "census", "--n", "8", "--format", "csv")
+    assert code == 0 and out.splitlines()[1:] == [f"{j},{eulerian_catalan(8)}" for j in range(9)]
+    code, out, err = run_cli(capsys, "census", "--n", "31")
     assert code == 3 and out == ""
-    assert err == "error: counting over S_17 exceeds the cap of S_15; pass --force to proceed\n"
+    assert err == CAP_REFUSAL
+
+
+def test_one_budget_per_command(capsys):
+    # census-vs-volumes fills 351k cells at --n 7 and 1.01M at --n 8, although each
+    # of its 256 volumes at --n 8 fills under 4,000: every volume draws on one budget
+    code, out, _ = run_cli(capsys, "verify", "census-vs-volumes", "--n", "7")
+    assert code == 0 and out.startswith("PASS")
+    code, out, err = run_cli(capsys, "verify", "census-vs-volumes", "--n", "8")
+    assert code == 3 and out == ""
+    assert err == CAP_REFUSAL
 
 
 def test_force_lifts_the_cap(capsys):
-    # P_{2,21} has 44 coordinates, one past the default ambient cap of 43
-    code, _, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2",
-                           "--n", "21")
-    assert code == 3
-    assert err == "error: ambient dimension 44 exceeds the cap of 43; pass --force to proceed\n"
-    code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2",
-                           "--n", "21", "--force", "--format", "json")
+    # Delta(22, 44) fills 459,844 cells, past the cap; Delta(22, 43) fills 419,078
+    code, out, err = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "22",
+                             "--n", "44")
+    assert code == 3 and out == ""
+    assert err == CAP_REFUSAL
+    code, out, _ = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "22",
+                           "--n", "44", "--force", "--format", "json")
     assert code == 0
-    assert json.loads(out)["ehrhart"]["normalized_volume"] > 0
+    assert json.loads(out)["ehrhart"]["normalized_volume"] == eulerian(21, 43)
+    code, out, _ = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "22",
+                           "--n", "43", "--format", "csv")
+    assert code == 0 and out == f"shape,dimension,volume\nhypersimplex,42,{eulerian(21, 42)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("volume", "--shape", "hypersimplex", "--k", "1", "--n", "1000000000"),
+    ("volume", "--shape", "pkn", "--k", "100000000", "--n", "1"),
+    ("verify", "subdivision", "--k", "100000000", "--n", "1"),
+])
+def test_large_ambient_dimension_is_refused_before_the_dp(capsys, argv):
+    # the spec is small, but one dilation would fill a window per coordinate
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == CAP_REFUSAL
+
+
+# the commands the benchmark runs without --force, listed here on their own
+BENCHMARK_UNFORCED = [
+    ("census", "--n", "4"),
+    ("census", "--n", "4", "--by-position"),
+    ("dyck-count", "--n", "4", "--k", "2"),
+    ("dyck-count", "--n", "2", "--k", "3"),
+    ("dyck-count", "--n", "1", "--k", "5"),
+    ("verify", "equidistribution", "--n", "4"),
+    ("verify", "alcoved-vs-dyck", "--k", "2", "--n", "4"),
+    ("verify", "census-vs-volumes", "--n", "4"),
+    ("verify", "subdivision", "--k", "3", "--n", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_UNFORCED)
+def test_benchmark_commands_pass_the_cap(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("eulerian-row", "--n", "0"), "error: n must be >= 1\n"),
+    (("ec", "--max-n", "-1"), "error: max_n must be >= 0\n"),
+    (("catalan", "--max-n", "-1"), "error: --max-n must be >= 0\n"),
+])
+def test_numbers_commands_refuse_out_of_range(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
 
 
 def test_bad_subcommand_exits_2():
@@ -340,7 +398,7 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
 def test_probe_shortfall_exits_1(capsys, monkeypatch):
     real = geometry._sample_hypersimplex_points
     monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
-                        lambda k, n, count, rng: real(k, n, count, rng)[:3])
+                        lambda k, n, count, rng, cap: real(k, n, count, rng, cap)[:3])
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1
     assert out.startswith("FAIL") and "drew only 3 of 120 probe points" in out

@@ -17,7 +17,7 @@ from eulercat.alcoved import (
     spec_for_hypersimplex,
     w_set_count,
 )
-from eulercat.errors import ScaleCapError
+from eulercat.errors import WORK_CAP, Budget, ScaleCapError
 from eulercat.geometry import (
     DegenerateDimensionError,
     count_dilated_lattice_points,
@@ -278,15 +278,31 @@ def test_ehrhart_degenerate_polytope_is_reported():
 
 
 def test_ehrhart_scale_cap():
-    assert geometry.DEFAULT_AMBIENT_CAP == 43
+    # the DP's edge: Delta(22, 43), the largest hypersimplex in 43 coordinates, fills
+    # 419,078 cells and Delta(22, 44) 459,844
+    assert WORK_CAP == 440_000
+    budget = Budget()
+    assert ehrhart_volume(spec_for_hypersimplex(22, 43), budget).normalized_volume \
+        == eulerian(21, 42)
+    assert budget.filled == 419_078
     with pytest.raises(ScaleCapError):
-        ehrhart_volume(spec_for_Pkn(2, 21))  # ambient 44
+        ehrhart_volume(spec_for_hypersimplex(22, 44), Budget())
+    # P_{2,3} fills 352 cells, so a second volume on the same budget is refused
+    budget = Budget()
+    budget.charge(WORK_CAP - 352)
+    ehrhart_volume(spec_for_Pkn(2, 3), budget)
+    assert budget.filled == WORK_CAP
+    with pytest.raises(ScaleCapError):
+        ehrhart_volume(spec_for_Pkn(2, 3), budget)
+    # a dilation fills at least one cell per window, charged before the windows are built
+    with pytest.raises(ScaleCapError):
+        count_dilated_lattice_points(spec_for_hypersimplex(1, 10**9), 0, Budget())
 
 
 def test_ehrhart_at_scale():
     # 32 coordinates, d = 31
-    assert ehrhart_volume(spec_for_Pkn(2, 15), cap=32).normalized_volume == eulerian_catalan(15)
-    assert verify_subdivision(2, 8, cap=18).passed
+    assert ehrhart_volume(spec_for_Pkn(2, 15), cap=None).normalized_volume == eulerian_catalan(15)
+    assert verify_subdivision(2, 8, cap=None).passed
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1)])
@@ -342,7 +358,7 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
 def test_probe_shortfall_fails(monkeypatch):
     real = geometry._sample_hypersimplex_points
     monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
-                        lambda k, n, count, rng: real(k, n, count, rng)[:3])
+                        lambda k, n, count, rng, cap: real(k, n, count, rng, cap)[:3])
     report = verify_subdivision(2, 1)
     assert report.failures == ("drew only 3 of 120 probe points",)
     assert report.points_probed == 3
@@ -352,9 +368,9 @@ def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
     calls = []
     count = geometry.count_dilated_lattice_points
 
-    def counting(spec, t):
+    def counting(spec, t, cap):
         calls.append((spec, t))
-        return count(spec, t)
+        return count(spec, t, cap)
 
     monkeypatch.setattr(geometry, "count_dilated_lattice_points", counting)
     assert verify_subdivision(2, 2).passed

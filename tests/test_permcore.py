@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 
 from eulercat.permcore import (
-    DEFAULT_FACTORIAL_CAP,
     ad_vector,
     as_permutation,
     descent_word_walk,
     format_permutation,
 )
 
-from eulercat.errors import ScaleCapError
+from eulercat.errors import WORK_CAP, Budget, ScaleCapError
 from oracles import (
     complement,
     cyclic_descent_positions,
@@ -126,7 +125,7 @@ def test_cyclic_descent_dichotomy_for_central_class(n):
         assert len(cyclic_descent_positions(w)) in (n, n + 1)
 
 
-def word_census(m, d, cap=DEFAULT_FACTORIAL_CAP):
+def word_census(m, d, cap=None):
     """{ad-word: count} from a walk whose key is the word read so far, as a bitmask."""
     def step(x, y, word, letter):
         return word | letter << (x + y)
@@ -150,13 +149,20 @@ def test_descent_word_census_edges_and_cap():
     assert word_census(3, 1) == {(0, 1): 2, (1, 0): 2}
     with pytest.raises(ValueError):
         word_census(0, 0)
-    assert DEFAULT_FACTORIAL_CAP == 15
-    with pytest.raises(ScaleCapError):
-        word_census(16, 5)
-    assert sum(descent_word_walk(12, 5, lambda x, y, key, letter: key, cap=12).values()) \
+    assert WORK_CAP == 440_000
+    # a key-free walk over S_12 with 5 descents holds one state per height y; after
+    # j letters its rows have j + 1 cells at each y in max(0, j - 6)..min(5, j)
+    cells = sum((j + 1) * (min(5, j) - max(0, j - 6) + 1) for j in range(1, 12))
+    assert cells == 272
+    budget = Budget()
+    budget.charge(WORK_CAP - cells)  # leaves the walk exactly its cells
+    assert sum(descent_word_walk(12, 5, lambda x, y, key, letter: key, budget).values()) \
         == 162512286
+    assert budget.filled == WORK_CAP
+    budget = Budget()
+    budget.charge(WORK_CAP - cells + 1)
     with pytest.raises(ScaleCapError):
-        descent_word_walk(12, 5, lambda x, y, key, letter: key, cap=11)
+        descent_word_walk(12, 5, lambda x, y, key, letter: key, budget)
 
 
 def test_as_permutation_rejects_non_bijections():

@@ -47,3 +47,15 @@ def test_every_public_function_runs_in_src():
             named.update(name for name in _names(node) if name != own)
     assert "analyze_orbit" in defined
     assert sorted(where for name, where in defined.items() if name not in named) == []
+
+
+def test_scale_cap_error_is_raised_in_one_place():
+    # one work cap, charged through errors.Budget: a second cap would raise it elsewhere
+    raised = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "ScaleCapError" in set(_names(node.exc))
+    ]
+    assert len(raised) == 1 and raised[0].startswith("errors.py:")
