@@ -245,15 +245,18 @@ def _verify_equidistribution(args, cap: Optional[Budget]) -> tuple[bool, dict]:
 def _verify_subdivision(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import geometry
 
-    report = geometry.verify_subdivision(args.k, args.n, cap=cap)
-    return report.passed, {"target": "subdivision", **report.to_json_dict()}
+    return geometry.verify_subdivision(args.k, args.n, cap=cap)
 
 
 def _verify_alcoved_vs_dyck(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import alcoved, orbit
 
-    via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n), cap=cap)
+    if args.n < 1:
+        raise ValueError("n must be >= 1")  # P_{k,0} is no polytope
+    # the Dyck count charges the shared budget first, so an over-cap n is
+    # refused before its n prefix bounds are built
     via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
+    via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n), cap=cap)
     return via_alcoves == via_paths, {
         "target": "alcoved-vs-dyck",
         "k": args.k,

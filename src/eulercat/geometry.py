@@ -14,7 +14,8 @@ are integers, by Newton forward differences; its leading coefficient is
 the normalized volume.  Subdivision probes are exactly uniform lattice
 points of the dilated hypersimplex, drawn by inverse CDF from the same
 DP's prefix tables, and are tested as integer numerators over one common
-denominator.  Nothing here consults the permutation-counting route, so
+denominator against the rotated bounds of the P_{k,n} spec whose volume
+is counted.  Nothing here consults the permutation-counting route, so
 the two volume computations cross-check each other.
 """
 from __future__ import annotations
@@ -189,38 +190,40 @@ def ehrhart_volume(spec: AlcovedSpec, cap: Optional[Budget] = None) -> EhrhartRe
 
 
 def _piece_memberships(
-    k: int, n: int, numerators: Sequence[int], denominator: int
+    spec: AlcovedSpec, k: int, numerators: Sequence[int], denominator: int
 ) -> tuple[list[bool], list[bool]]:
     """
     Closed and interior membership of the point numerators/denominator in
-    each of the n+1 cyclic pieces: piece i holds x_{ki+1} + ... + x_{ki+kt}
-    <= t (< t inside) for t = 1..n, indices mod k(n+1), read off one
-    circular prefix sum of the numerators.
+    each cyclic piece: piece i is spec with its coordinates rotated by k*i,
+    so it holds lower <= x_{ki+1} + ... + x_{ki+j} <= upper (strictly inside)
+    for every bound of spec, indices mod ambient_n, read off one circular
+    prefix sum of the numerators.
     """
     prefix = [0, *itertools.accumulate(itertools.chain(numerators, numerators))]
+    # each side of a bound as (j, sign, limit): its slack is sign * (limit - sum)
+    sides = [(bd.j, 1, denominator * bd.upper) for bd in spec.bounds if bd.upper is not None]
+    sides += [(bd.j, -1, denominator * bd.lower) for bd in spec.bounds if bd.lower is not None]
     closed, interior = [], []
-    for i in range(n + 1):
-        start = prefix[k * i]
-        slack = min(
-            denominator * t - (prefix[k * (i + t)] - start) for t in range(1, n + 1)
-        )
+    for start in range(0, spec.ambient_n, k):
+        base = prefix[start]
+        slack = min(sign * (limit - prefix[start + j] + base) for j, sign, limit in sides)
         closed.append(slack >= 0)
         interior.append(slack > 0)
     return closed, interior
 
 
 def _sample_hypersimplex_points(
-    k: int, n: int, count: int, rng: random.Random, cap: Optional[Budget] = None
+    spec: AlcovedSpec, count: int, rng: random.Random, cap: Optional[Budget] = None
 ) -> list[tuple[int, ...]]:
     """
-    Numerators of count exactly uniform lattice points of PROBE_DENOMINATOR *
-    Delta(n+1, k(n+1)).  The lattice-count DP of the dilate keeps each
-    step's prefix table; walking back from the full sum, each coordinate is
-    drawn by inverse CDF, one randrange and one bisect per coordinate.
-    Charges cap with the DP's cells, as count_dilated_lattice_points does.
+    Numerators of count exactly uniform lattice points of PROBE_DENOMINATOR
+    times spec.  The lattice-count DP of the dilate keeps each step's prefix
+    table; walking back from the full sum, each coordinate is drawn by
+    inverse CDF, one randrange and one bisect per coordinate.  Charges cap
+    with the DP's cells, as count_dilated_lattice_points does.
     """
     t = PROBE_DENOMINATOR
-    windows = _windows(spec_for_hypersimplex(n + 1, k * (n + 1)), t, cap)
+    windows = _windows(spec, t, cap)
     tables, row = [], [1]
     for previous, window in zip(windows, windows[1:]):
         prefix, row = _dp_step(row, t, previous, window)
@@ -228,7 +231,7 @@ def _sample_hypersimplex_points(
     tables.reverse()
     points = []
     for _ in range(count):
-        coords, s = [], t * (n + 1)
+        coords, s = [], t * spec.level_k
         for lo, prefix in tables:
             # prefix[m] counts the paths to sums below lo - t + m, so the sum
             # lo - t + m with prefix[m] <= u < prefix[m + 1] is drawn in
@@ -247,56 +250,23 @@ def _probe_point(numerators: Sequence[int]) -> str:
     return "(" + ", ".join(_ratio(c, PROBE_DENOMINATOR) for c in numerators) + ")"
 
 
-class SubdivisionReport(NamedTuple):
-    k: int
-    n: int
-    piece_volumes: tuple[int, ...]
-    total_volume: int
-    hypersimplex_volume: int
-    expected_piece_volume: int
-    expected_total_volume: int
-    points_probed: int
-    interior_hits: tuple[int, ...]
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "piece_volumes": list(self.piece_volumes),
-            "total_volume": self.total_volume,
-            "hypersimplex_volume": self.hypersimplex_volume,
-            "expected_piece_volume": self.expected_piece_volume,
-            "expected_total_volume": self.expected_total_volume,
-            "points_probed": self.points_probed,
-            "interior_hits": list(self.interior_hits),
-            "piece_symmetry": (
-                f"pieces 1..{self.n} are images of P_{{{self.k},{self.n}}} "
-                f"under the coordinate rotation by {self.k}*i"
-            ),
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
-
-
-def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> SubdivisionReport:
+def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> tuple[bool, dict]:
     """
     Check that n+1 copies of P_{k,n} fill the hypersimplex volume and
     probe random rational points for coverage and disjoint interiors.
     Piece i is P_{k,n} with coordinates rotated by k*i, which maps
     lattice points to lattice points, so one Ehrhart count serves all
     n+1 pieces; the probes test each rotated piece separately.
+    Returns (passed, the report record).
     """
     failures: list[str] = []
-    piece = ehrhart_volume(spec_for_Pkn(k, n), cap).normalized_volume
-    volumes = (piece,) * (n + 1)
+    pkn = spec_for_Pkn(k, n)
+    piece = ehrhart_volume(pkn, cap).normalized_volume
+    volumes = [piece] * (n + 1)
 
     N = k * (n + 1)
-    hyper = ehrhart_volume(spec_for_hypersimplex(n + 1, N), cap).normalized_volume
+    hypersimplex = spec_for_hypersimplex(n + 1, N)
+    hyper = ehrhart_volume(hypersimplex, cap).normalized_volume
     expected_total = eulerian(n, N - 1)
     expected_piece = fuss_eulerian_catalan(k, n)
     total = sum(volumes)
@@ -309,12 +279,14 @@ def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> Subdivis
 
     import random
 
-    points = _sample_hypersimplex_points(k, n, PROBE_SAMPLES, random.Random(PROBE_SEED), cap)
+    points = _sample_hypersimplex_points(
+        hypersimplex, PROBE_SAMPLES, random.Random(PROBE_SEED), cap
+    )
     if len(points) < PROBE_SAMPLES:
         failures.append(f"drew only {len(points)} of {PROBE_SAMPLES} probe points")
     interior_hits = [0] * (n + 1)
     for numerators in points:
-        member, interior = _piece_memberships(k, n, numerators, PROBE_DENOMINATOR)
+        member, interior = _piece_memberships(pkn, k, numerators, PROBE_DENOMINATOR)
         if not any(member):
             failures.append(f"point {_probe_point(numerators)} is covered by no piece")
             continue
@@ -328,15 +300,21 @@ def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> Subdivis
                         f"point {_probe_point(numerators)} is interior to piece {i} "
                         f"but also in piece {j}"
                     )
-    return SubdivisionReport(
-        k=k,
-        n=n,
-        piece_volumes=volumes,
-        total_volume=total,
-        hypersimplex_volume=hyper,
-        expected_piece_volume=expected_piece,
-        expected_total_volume=expected_total,
-        points_probed=len(points),
-        interior_hits=tuple(interior_hits),
-        failures=tuple(failures),
-    )
+    return not failures, {
+        "target": "subdivision",
+        "k": k,
+        "n": n,
+        "piece_volumes": volumes,
+        "total_volume": total,
+        "hypersimplex_volume": hyper,
+        "expected_piece_volume": expected_piece,
+        "expected_total_volume": expected_total,
+        "points_probed": len(points),
+        "interior_hits": interior_hits,
+        "piece_symmetry": (
+            f"pieces 1..{n} are images of P_{{{k},{n}}} "
+            f"under the coordinate rotation by {k}*i"
+        ),
+        "failures": failures,
+        "passed": not failures,
+    }

@@ -72,10 +72,8 @@ def _exact_quotient(numerator: int, divisor: int, what: str) -> int:
 
 
 def eulerian_catalan(n: int) -> int:
-    """EC_n = A(n, 2n+1) / (n+1); the quotient is provably integral."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _exact_quotient(eulerian(n, 2 * n + 1), n + 1, f"EC_{n}")
+    """EC_n = A(n, 2n+1) / (n+1), the Fuss count at k = 2."""
+    return fuss_eulerian_catalan(2, n)
 
 
 def eulerian_catalan_upto(max_n: int) -> list[int]:

@@ -124,9 +124,9 @@ def test_criterion_6_ehrhart_volumes():
 def test_criterion_7_subdivision():
     started = time.time()
     for k, n in [(2, 1), (2, 2), (3, 1)]:
-        rep = geometry.verify_subdivision(k, n)
-        assert rep.passed, rep.failures
-        assert rep.total_volume == numbers.eulerian(n, k * (n + 1) - 1)
+        ok, rep = geometry.verify_subdivision(k, n)
+        assert ok, rep["failures"]
+        assert rep["total_volume"] == numbers.eulerian(n, k * (n + 1) - 1)
     report("#7 subdivision", "(2,1), (2,2), (3,1) with membership probes", started)
 
 

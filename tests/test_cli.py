@@ -225,6 +225,22 @@ def test_large_ambient_dimension_is_refused_before_the_dp(capsys, argv):
     assert err == CAP_REFUSAL
 
 
+def test_alcoved_vs_dyck_is_refused_before_p_kn_is_built(capsys, monkeypatch):
+    from eulercat import alcoved
+
+    def unbuilt(*args):
+        raise AssertionError("P_{k,n} built before the cap refusal")
+
+    monkeypatch.setattr(alcoved, "spec_for_Pkn", unbuilt)
+    code, out, err = run_cli(capsys, "verify", "alcoved-vs-dyck", "--n", "1000000")
+    assert code == 3 and out == ""
+    assert err == CAP_REFUSAL
+    # P_{k,0} is no polytope: n < 1 is refused with one text, as in census-vs-volumes
+    for n in ("0", "-1"):
+        assert run_cli(capsys, "verify", "alcoved-vs-dyck", "--n", n) == \
+            (2, "", "error: n must be >= 1\n")
+
+
 # the commands the benchmark runs without --force, listed here on their own
 BENCHMARK_UNFORCED = [
     ("census", "--n", "4"),
@@ -389,7 +405,8 @@ def test_closed_stdout_exits_141_when_unbuffered():
 def test_overlapping_probe_exits_1(capsys, monkeypatch):
     # every probe point reads as interior to every piece
     monkeypatch.setattr(geometry, "_piece_memberships",
-                        lambda k, n, numerators, denominator: ([True] * (n + 1),) * 2)
+                        lambda spec, k, numerators, denominator:
+                        ([True] * (spec.ambient_n // k),) * 2)
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1
     assert out.startswith("FAIL") and "is interior to piece 0 but also in piece 1" in out
@@ -398,7 +415,7 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
 def test_probe_shortfall_exits_1(capsys, monkeypatch):
     real = geometry._sample_hypersimplex_points
     monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
-                        lambda k, n, count, rng, cap: real(k, n, count, rng, cap)[:3])
+                        lambda spec, count, rng, cap: real(spec, count, rng, cap)[:3])
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1
     assert out.startswith("FAIL") and "drew only 3 of 120 probe points" in out

@@ -65,12 +65,20 @@ def lagrange_interpolation(values):
     return coeffs
 
 
-def fraction_piece_membership(k, n, i, point, strict):
-    """Membership of a Fraction point in piece i, re-summed for every t."""
+def fraction_piece_membership(k, n, i, point, strict, flipped=()):
+    """
+    Membership of a Fraction point in piece i of P_{k,n}(flipped), re-summed
+    for every t: x_{ki+1} + ... + x_{ki+kt} >= t for t in flipped, <= t
+    otherwise (strictly, if strict), indices mod k(n+1).
+    """
     N = k * (n + 1)
     for t in range(1, n + 1):
         total = sum(point[(k * i + s) % N] for s in range(k * t))
-        if not (total < t if strict else total <= t):
+        if t in flipped:
+            inside = total > t if strict else total >= t
+        else:
+            inside = total < t if strict else total <= t
+        if not inside:
             return False
     return True
 
@@ -254,7 +262,8 @@ def test_probes_are_uniform_on_the_lattice_points(monkeypatch):
     # 2 * Delta(2, 4): the 19 points of {0, 1, 2}^4 summing to 4, each drawn 2000
     # times on average
     monkeypatch.setattr(geometry, "PROBE_DENOMINATOR", 2)
-    draws = geometry._sample_hypersimplex_points(2, 1, 38_000, random.Random(5))
+    draws = geometry._sample_hypersimplex_points(
+        spec_for_hypersimplex(2, 4), 38_000, random.Random(5))
     hits = Counter(draws)
     assert set(hits) == set(naive_lattice_points(spec_for_hypersimplex(2, 4), 2))
     assert all(1800 <= c <= 2200 for c in hits.values()), hits
@@ -262,7 +271,8 @@ def test_probes_are_uniform_on_the_lattice_points(monkeypatch):
 
 def test_probes_lie_on_the_dilated_hypersimplex():
     d = geometry.PROBE_DENOMINATOR
-    points = geometry._sample_hypersimplex_points(4, 5, 120, random.Random(geometry.PROBE_SEED))
+    points = geometry._sample_hypersimplex_points(
+        spec_for_hypersimplex(6, 24), 120, random.Random(geometry.PROBE_SEED))
     assert len(points) == 120
     for numerators in points:
         assert len(numerators) == 24
@@ -302,66 +312,96 @@ def test_ehrhart_scale_cap():
 def test_ehrhart_at_scale():
     # 32 coordinates, d = 31
     assert ehrhart_volume(spec_for_Pkn(2, 15), cap=None).normalized_volume == eulerian_catalan(15)
-    assert verify_subdivision(2, 8, cap=None).passed
+    assert verify_subdivision(2, 8, cap=None)[0]
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1)])
 def test_verify_subdivision_passes(k, n):
-    report = verify_subdivision(k, n)
-    assert report.passed, report.failures
-    assert set(report.piece_volumes) == {fuss_eulerian_catalan(k, n)}
-    assert report.total_volume == eulerian(n, k * (n + 1) - 1)
-    assert report.points_probed > 0
-    assert sum(report.interior_hits) > 0
-    assert len(report.piece_volumes) == n + 1
-    assert report.to_json_dict()["piece_symmetry"] == (
+    ok, report = verify_subdivision(k, n)
+    assert ok, report["failures"]
+    assert report["passed"] and report["target"] == "subdivision"
+    assert set(report["piece_volumes"]) == {fuss_eulerian_catalan(k, n)}
+    assert report["total_volume"] == eulerian(n, k * (n + 1) - 1)
+    assert report["points_probed"] > 0
+    assert sum(report["interior_hits"]) > 0
+    assert len(report["piece_volumes"]) == n + 1
+    assert report["piece_symmetry"] == (
         f"pieces 1..{n} are images of P_{{{k},{n}}} under the coordinate rotation by {k}*i"
     )
 
 
-@pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1), (2, 3)])
-def test_integer_membership_matches_fraction_sums(k, n):
+@pytest.mark.parametrize("k,n,flipped", [
+    (2, 1, ()), (2, 2, ()), (3, 1, ()), (2, 3, ()),
+    (2, 3, {1, 3}),  # lower bounds: x_1 + x_2 >= 1 and x_1 + ... + x_6 >= 3
+], ids=["2-1", "2-2", "3-1", "2-3", "2-3-flipped-1-3"])
+def test_integer_membership_matches_fraction_sums(k, n, flipped):
+    # the spec-reading membership against the inequalities of P_{k,n}(T) written out
     rng = random.Random(geometry.PROBE_SEED)
-    points = geometry._sample_hypersimplex_points(k, n, geometry.PROBE_SAMPLES, rng)
+    hypersimplex = spec_for_hypersimplex(n + 1, k * (n + 1))
+    points = geometry._sample_hypersimplex_points(hypersimplex, geometry.PROBE_SAMPLES, rng)
     assert len(points) == geometry.PROBE_SAMPLES
     d = geometry.PROBE_DENOMINATOR
+    spec = spec_for_Pkn(k, n, flipped)
     for numerators in points:
         point = tuple(Fraction(c, d) for c in numerators)
-        closed, interior = geometry._piece_memberships(k, n, numerators, d)
-        assert closed == [fraction_piece_membership(k, n, i, point, False) for i in range(n + 1)]
-        assert interior == [fraction_piece_membership(k, n, i, point, True) for i in range(n + 1)]
+        closed, interior = geometry._piece_memberships(spec, k, numerators, d)
+        assert closed == [
+            fraction_piece_membership(k, n, i, point, False, flipped) for i in range(n + 1)]
+        assert interior == [
+            fraction_piece_membership(k, n, i, point, True, flipped) for i in range(n + 1)]
 
 
 def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
     real = geometry._piece_memberships
     seen = []
 
-    def overlap_first_point(k, n, numerators, denominator):
+    def overlap_first_point(spec, k, numerators, denominator):
         seen.append(numerators)
-        closed, interior = real(k, n, numerators, denominator)
+        closed, interior = real(spec, k, numerators, denominator)
         if len(seen) == 1:
             closed[:2] = interior[:2] = [True, True]
         return closed, interior
 
     monkeypatch.setattr(geometry, "_piece_memberships", overlap_first_point)
-    report = verify_subdivision(2, 1)
+    ok, report = verify_subdivision(2, 1)
     coords = (Fraction(c, geometry.PROBE_DENOMINATOR) for c in seen[0])
     point = "(" + ", ".join(f"{f.numerator}/{f.denominator}" for f in coords) + ")"
-    assert not report.passed
-    assert report.failures == (
+    assert not ok and not report["passed"]
+    assert report["failures"] == [
         f"point {point} is interior to piece 0 but also in piece 1",
         f"point {point} is interior to piece 1 but also in piece 0",
-    )
-    assert report.points_probed == len(seen) == geometry.PROBE_SAMPLES
+    ]
+    assert report["points_probed"] == len(seen) == geometry.PROBE_SAMPLES
+
+
+def test_probes_read_the_counted_pkn_spec(monkeypatch):
+    # P_{2,2} with x_1 + x_2 <= 2 in place of <= 1: the rotated pieces now overlap,
+    # and the probes must see it as well as the two volumes
+    real = geometry.spec_for_Pkn
+
+    def loosened(k, n, flipped=()):
+        spec = real(k, n, flipped)
+        first, *rest = spec.bounds
+        return AlcovedSpec(spec.ambient_n, spec.level_k,
+                           (first._replace(upper=first.upper + 1), *rest))
+
+    monkeypatch.setattr(geometry, "spec_for_Pkn", loosened)
+    ok, report = verify_subdivision(2, 2)
+    assert not ok
+    volume_failures = [f for f in report["failures"] if "volume" in f]
+    assert len(volume_failures) == 2
+    assert any(" is interior to piece " in f and " but also in piece " in f
+               for f in report["failures"])
 
 
 def test_probe_shortfall_fails(monkeypatch):
     real = geometry._sample_hypersimplex_points
     monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
-                        lambda k, n, count, rng, cap: real(k, n, count, rng, cap)[:3])
-    report = verify_subdivision(2, 1)
-    assert report.failures == ("drew only 3 of 120 probe points",)
-    assert report.points_probed == 3
+                        lambda spec, count, rng, cap: real(spec, count, rng, cap)[:3])
+    ok, report = verify_subdivision(2, 1)
+    assert not ok
+    assert report["failures"] == ["drew only 3 of 120 probe points"]
+    assert report["points_probed"] == 3
 
 
 def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
@@ -373,7 +413,7 @@ def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
         return count(spec, t, cap)
 
     monkeypatch.setattr(geometry, "count_dilated_lattice_points", counting)
-    assert verify_subdivision(2, 2).passed
+    assert verify_subdivision(2, 2)[0]
     # P_{2,2} and Delta(3, 6), each at dilations t = 0..5
     pkn, hyper = spec_for_Pkn(2, 2), spec_for_hypersimplex(3, 6)
     assert len(calls) == 12

@@ -34,9 +34,10 @@ def test_record_json_shapes():
     # coefficients of d! p(x), rendered in lowest terms over d!
     assert EhrhartRecord(3, (), (6, 0, -9, 2), 2).to_json_dict()["coefficients"] == \
         ["1/1", "0/1", "-3/2", "1/3"]
-    report = verify_subdivision(2, 1)
-    assert report.passed
-    assert report.to_json_dict() == {
+    ok, report = verify_subdivision(2, 1)
+    assert ok
+    assert report == {
+        "target": "subdivision",
         "k": 2,
         "n": 1,
         "piece_volumes": [2, 2],
