@@ -1,11 +1,10 @@
 """Exact enumeration engine for Eulerian-Catalan numbers, Dyck permutations,
 cyclic-shift exceedance equidistribution, and alcoved-polytope volumes."""
 
-from .numbers import catalan, eulerian, eulerian_catalan, fuss_eulerian_catalan
+from .numbers import catalan, eulerian, fuss_eulerian_catalan
 
 __all__ = [
     "catalan",
     "eulerian",
-    "eulerian_catalan",
     "fuss_eulerian_catalan",
 ]

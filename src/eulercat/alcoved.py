@@ -68,19 +68,24 @@ def spec_for_hypersimplex(k: int, n: int) -> AlcovedSpec:
     return AlcovedSpec(ambient_n=n, level_k=k)
 
 
-def spec_for_Pkn(k: int, n: int, flipped: Iterable[int] = ()) -> AlcovedSpec:
+def spec_for_Pkn(
+    k: int, n: int, flipped: Iterable[int] = (), cap: Optional[Budget] = None
+) -> AlcovedSpec:
     """
     P_{k,n}(T): Delta(n+1, k(n+1)) cut by x_1 + ... + x_{kt} >= t for t in T,
     <= t for the other t in 1..n.  Its W-set: the t-th descent is a flaw
     exactly for t in T, so P_{k,n} = P_{k,n}({}) counts (k-1)-Dyck permutations.
+    Charges cap (None: no limit) one cell per bound before building any.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     T = frozenset(flipped)
-    if not T <= set(range(1, n + 1)):
+    if not all(1 <= t <= n for t in T):
         raise ValueError(f"flip set {sorted(T)} not a subset of 1..{n}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if cap is not None:
+        cap.charge(n)
     prefix = tuple(
         Bound(k * t, lower=t) if t in T else Bound(k * t, upper=t)
         for t in range(1, n + 1)
@@ -132,21 +137,15 @@ def subset_key(T: Iterable[int]) -> str:
 
 
 def exceedance_position_census(
-    n: int, cap: Optional[Budget] = None
+    n: int, k: int = 2, cap: Optional[Budget] = None
 ) -> dict[tuple[int, ...], int]:
     """
-    For each T subset of {1..n}: count w in S_{2n+1} with n descents whose
-    path has exceedances exactly at positions {t-1 : t in T}, which are its
-    k = 2 flaw rows.  The walk keys each ad-word by the bitmask of its flaw
-    rows so far.  Each entry is the normalized volume of P_{2,n}(T).
+    For each T subset of {1..n}: count w in S_{kn+k-1} with n descents
+    whose path has its flaws exactly in the rows {t-1 : t in T} (at k = 2,
+    its exceedance positions).  The walk keys each ad-word by the bitmask
+    of its flaw rows so far.  Each entry is the normalized volume of P_{k,n}(T).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    from .paths import is_flaw_step
-    from .permcore import descent_word_walk
+    from .paths import flaw_walk
 
-    def step(x: int, y: int, mask: int, letter: int) -> int:
-        return mask | 1 << y if is_flaw_step(x, y, letter, 2) else mask
-
-    counts = descent_word_walk(2 * n + 1, n, step, cap)
+    counts = flaw_walk(k, n, lambda mask, y: mask | 1 << y, cap)
     return {T: counts.get(sum(1 << (t - 1) for t in T), 0) for T in all_subsets(n)}

@@ -199,27 +199,28 @@ def _parse_flip(text: str) -> frozenset[int]:
         raise ValueError(f"cannot parse flip set {text!r}") from exc
 
 
-def _volume_spec(args) -> AlcovedSpec:
+def _volume_spec(args, cap: Optional[Budget]) -> AlcovedSpec:
     from . import alcoved
 
     if args.shape == "p2n":
         if args.k is not None:
             raise ValueError("--k does not apply to --shape p2n (k is 2)")
-        return alcoved.spec_for_Pkn(2, args.n, _parse_flip(args.flip or ""))
+        return alcoved.spec_for_Pkn(2, args.n, _parse_flip(args.flip or ""), cap)
     if args.flip is not None:
         raise ValueError(f"--flip applies only to --shape p2n, not {args.shape}")
     if args.k is None:
         raise ValueError(f"--k is required for --shape {args.shape}")
     if args.shape == "hypersimplex":
         return alcoved.spec_for_hypersimplex(args.k, args.n)
-    return alcoved.spec_for_Pkn(args.k, args.n)
+    return alcoved.spec_for_Pkn(args.k, args.n, cap=cap)
 
 
 def _cmd_volume(args) -> tuple[int, str]:
     from . import geometry
 
-    spec = _volume_spec(args)
-    record = geometry.ehrhart_volume(spec, _budget(args))
+    cap = _budget(args)
+    spec = _volume_spec(args, cap)
+    record = geometry.ehrhart_volume(spec, cap)
     if args.format == "json":
         return EXIT_OK, render_json(
             {"spec": spec.to_json_dict(), "ehrhart": record.to_json_dict()}
@@ -231,11 +232,12 @@ def _cmd_volume(args) -> tuple[int, str]:
 def _verify_equidistribution(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import orbit
 
-    census = orbit.equidistribution_census(args.n, cap=cap)
-    expected = numbers.eulerian_catalan(args.n)
+    census = orbit.equidistribution_census(args.n, args.k, cap)
+    expected = numbers.fuss_eulerian_catalan(args.k, args.n)
     ok = all(count == expected for count in census.values())
     return ok, {
         "target": "equidistribution",
+        "k": args.k,
         "n": args.n,
         "census": {str(j): c for j, c in sorted(census.items())},
         "expected": expected,
@@ -253,10 +255,8 @@ def _verify_alcoved_vs_dyck(args, cap: Optional[Budget]) -> tuple[bool, dict]:
 
     if args.n < 1:
         raise ValueError("n must be >= 1")  # P_{k,0} is no polytope
-    # the Dyck count charges the shared budget first, so an over-cap n is
-    # refused before its n prefix bounds are built
     via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
-    via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n), cap=cap)
+    via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n, cap=cap), cap=cap)
     return via_alcoves == via_paths, {
         "target": "alcoved-vs-dyck",
         "k": args.k,
@@ -270,18 +270,19 @@ def _verify_census_vs_volumes(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     from . import alcoved, geometry
 
     if args.n < 1:
-        raise ValueError("n must be >= 1")  # P_{2,0}(T) is no polytope
-    census = alcoved.exceedance_position_census(args.n, cap=cap)
+        raise ValueError("n must be >= 1")  # P_{k,0}(T) is no polytope
+    census = alcoved.exceedance_position_census(args.n, args.k, cap)
     entries = {}
     mismatches = []
     for T, count in census.items():
-        spec = alcoved.spec_for_Pkn(2, args.n, T)
+        spec = alcoved.spec_for_Pkn(args.k, args.n, T, cap)
         volume = geometry.ehrhart_volume(spec, cap=cap).normalized_volume
         entries[alcoved.subset_key(T)] = {"census": count, "volume": volume}
         if count != volume:
             mismatches.append(alcoved.subset_key(T))
     return not mismatches, {
         "target": "census-vs-volumes",
+        "k": args.k,
         "n": args.n,
         "entries": entries,
         "mismatches": mismatches,
@@ -297,9 +298,6 @@ _VERIFY = {
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    if args.k != 2 and args.target in ("equidistribution", "census-vs-volumes"):
-        raise ValueError(f"--k applies only to subdivision and alcoved-vs-dyck; "
-                         f"{args.target} is k = 2")
     ok, report = _VERIFY[args.target](args, _budget(args))
     report["status"] = "PASS" if ok else "FAIL"
     code = EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -260,7 +260,7 @@ def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> tuple[bo
     Returns (passed, the report record).
     """
     failures: list[str] = []
-    pkn = spec_for_Pkn(k, n)
+    pkn = spec_for_Pkn(k, n, cap=cap)
     piece = ehrhart_volume(pkn, cap).normalized_volume
     volumes = [piece] * (n + 1)
 

@@ -71,11 +71,6 @@ def _exact_quotient(numerator: int, divisor: int, what: str) -> int:
     return q
 
 
-def eulerian_catalan(n: int) -> int:
-    """EC_n = A(n, 2n+1) / (n+1), the Fuss count at k = 2."""
-    return fuss_eulerian_catalan(2, n)
-
-
 def eulerian_catalan_upto(max_n: int) -> list[int]:
     """[EC_0, ..., EC_max_n] from one walk over rows 1..2*max_n+1."""
     if max_n < 0:

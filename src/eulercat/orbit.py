@@ -1,27 +1,21 @@
 """
-Cyclic-orbit analysis of permutations with n descents in S_{2n+1}:
-exceedance equidistribution and Dyck-permutation counting.
+Cyclic-orbit analysis of permutations with n descents in S_{2n+1}, and
+the flaw census and Dyck-permutation count of S_{kn+k-1}.
 
 Among the 2n+1 cyclic shifts of a permutation with n descents, exactly
 n+1 have n descents, and the lattice paths of those n+1 shifts realize
 every exceedance value 0..n exactly once.  analyze_orbit reads that
 statement off one word, the cyclic ad-word of w, and checks it.  The
-census counts k = 2 flaws (paths.is_flaw_step), and the Dyck count drops
-every flaw at its own k.
+census and the Dyck count are two rules of paths.flaw_walk, at any k: the
+census counts the flaws, the Dyck count drops every word with one.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import Budget, InvariantError
-from .permcore import (
-    Permutation,
-    ad_vector,
-    as_permutation,
-    descent_word_walk,
-    format_permutation,
-)
-from .paths import exceedance, is_flaw_step
+from .permcore import Permutation, ad_vector, as_permutation, format_permutation
+from .paths import exceedance, flaw_walk
 
 CASE_N = "n-cyclic-descents"
 CASE_N_PLUS_ONE = "n-plus-one-cyclic-descents"
@@ -87,19 +81,15 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
     return OrbitCertificate(w, case_tag, tuple(shifts), tuple(exceedances))
 
 
-def equidistribution_census(n: int, cap: Optional[Budget] = None) -> dict[int, int]:
+def equidistribution_census(
+    n: int, k: int = 2, cap: Optional[Budget] = None
+) -> dict[int, int]:
     """
-    Census of w in S_{2n+1} with n descents by exc(L(w)): the walk keys
-    each ad-word by its k = 2 flaws so far.  Every bucket j = 0..n holds
-    the same count, the Eulerian-Catalan number EC_n.
+    Census of w in S_{kn+k-1} with n descents by the flaws of their paths
+    (at k = 2, exc(L(w))): the walk keys each ad-word by its flaws so far.
+    Every bucket j = 0..n holds the same count, fuss_eulerian_catalan(k, n).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def step(x: int, y: int, exc: int, letter: int) -> int:
-        return exc + is_flaw_step(x, y, letter, 2)
-
-    counts = descent_word_walk(2 * n + 1, n, step, cap)
+    counts = flaw_walk(k, n, lambda flaws, y: flaws + 1, cap)
     return {j: counts.get(j, 0) for j in range(n + 1)}
 
 
@@ -108,12 +98,4 @@ def count_dyck_permutations(n: int, k: int = 2, cap: Optional[Budget] = None) ->
     Count of w in S_{kn+k-1} with n descents whose ad-vector is a
     (k-1)-ballot sequence, with no flaw; equals fuss_eulerian_catalan(k, n).
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
-        return None if is_flaw_step(x, y, letter, k) else key
-
-    return sum(descent_word_walk(k * n + k - 1, n, step, cap).values())
+    return sum(flaw_walk(k, n, lambda key, y: None, cap).values())

@@ -4,14 +4,20 @@ against, the East-step exceedance (the paper's definition, which the flaw
 rule replaced), the whole-word path statistics, the linear and cyclic
 descent scans and the shift-by-shift orbit certificate that the cyclic
 ad-word replaced, the full-window lattice-count DP that the banded one
-replaced, and the Chung-Feller machinery on 0/1 words (0 = East,
-1 = North) that only the tests run.
+replaced, the Chung-Feller machinery on 0/1 words (0 = East,
+1 = North) that only the tests run, and the k = 2 name of the Fuss count.
 """
 import itertools
 from collections import Counter
 
+from eulercat.numbers import fuss_eulerian_catalan
 from eulercat.orbit import CASE_N, CASE_N_PLUS_ONE, OrbitCertificate, analyze_orbit
 from eulercat.permcore import ad_vector, as_permutation
+
+
+def eulerian_catalan(n):
+    """EC_n = A(n, 2n+1) / (n+1), the Fuss count at k = 2."""
+    return fuss_eulerian_catalan(2, n)
 
 
 def descent_positions(w):

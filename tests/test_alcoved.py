@@ -15,10 +15,10 @@ from eulercat.alcoved import (
     w_set_count,
 )
 from eulercat.errors import WORK_CAP, Budget, ScaleCapError
-from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
+from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from eulercat.orbit import count_dyck_permutations
 from eulercat.permcore import ad_vector
-from oracles import enumerate_by_descent_count, exceedance_positions
+from oracles import enumerate_by_descent_count, eulerian_catalan, exceedance_positions
 
 
 def prefix_bounds(spec):

@@ -3,14 +3,16 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from eulercat import geometry
+from eulercat import alcoved, geometry, orbit
 from eulercat.cli import build_parser, main
-from eulercat.numbers import eulerian, eulerian_catalan
+from eulercat.numbers import eulerian, fuss_eulerian_catalan
+from oracles import eulerian_catalan
 
 
 def run_cli(capsys, *argv):
@@ -225,9 +227,21 @@ def test_large_ambient_dimension_is_refused_before_the_dp(capsys, argv):
     assert err == CAP_REFUSAL
 
 
-def test_alcoved_vs_dyck_is_refused_before_p_kn_is_built(capsys, monkeypatch):
-    from eulercat import alcoved
+@pytest.mark.parametrize("argv", [
+    ("volume", "--shape", "pkn", "--k", "2", "--n", "1000000"),
+    ("volume", "--shape", "p2n", "--n", "1000000"),
+    ("verify", "subdivision", "--k", "2", "--n", "1000000"),
+])
+def test_huge_p_kn_is_refused_before_its_bounds_are_built(capsys, monkeypatch, argv):
+    # P_{k,n} charges one cell per bound before it builds any
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a bound of P_{k,n} built before the cap refusal")
 
+    monkeypatch.setattr(alcoved, "Bound", unbuilt)
+    assert run_cli(capsys, *argv) == (3, "", CAP_REFUSAL)
+
+
+def test_alcoved_vs_dyck_is_refused_before_p_kn_is_built(capsys, monkeypatch):
     def unbuilt(*args):
         raise AssertionError("P_{k,n} built before the cap refusal")
 
@@ -359,16 +373,48 @@ def test_every_accepted_format_is_that_format(capsys, command, fmt):
         assert all(cell and ":" not in cell for cell in header)
 
 
-@pytest.mark.parametrize("target,n,k", [("equidistribution", "2", "3"),
-                                        ("census-vs-volumes", "1", "5")])
-def test_verify_refuses_k_its_target_ignores(capsys, target, n, k):
-    # these targets count at k = 2 only; subdivision and alcoved-vs-dyck read --k
-    code, out, err = run_cli(capsys, "verify", target, "--n", n, "--k", k)
-    assert code == 2 and out == ""
-    assert err == (f"error: --k applies only to subdivision and alcoved-vs-dyck; "
-                   f"{target} is k = 2\n")
-    code, out, _ = run_cli(capsys, "verify", target, "--n", n, "--k", "2")
-    assert code == 0 and out.startswith("PASS")
+@pytest.mark.parametrize("target,k,n", [
+    ("equidistribution", 3, 8), ("equidistribution", 6, 8),
+    ("census-vs-volumes", 3, 1), ("census-vs-volumes", 3, 2), ("census-vs-volumes", 3, 3),
+    ("census-vs-volumes", 4, 1), ("census-vs-volumes", 4, 2),
+    ("census-vs-volumes", 5, 1), ("census-vs-volumes", 5, 2),
+])
+def test_verify_reads_k_on_every_target(capsys, target, k, n):
+    code, out, err = run_cli(capsys, "verify", target, "--k", str(k), "--n", str(n),
+                             "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["status"] == "PASS"
+    assert (report["k"], report["n"]) == (k, n)
+    if target == "equidistribution":
+        assert report["expected"] == fuss_eulerian_catalan(k, n)
+    else:
+        # the flaw sets of S_{kn+k-1} with n descents: every one of them, once
+        assert sum(e["census"] for e in report["entries"].values()) == eulerian(n, k * n + k - 1)
+
+
+@pytest.mark.parametrize("target", ["equidistribution", "census-vs-volumes"])
+def test_verify_refuses_k_below_2(capsys, target):
+    assert run_cli(capsys, "verify", target, "--k", "1", "--n", "2") == \
+        (2, "", "error: k must be >= 2\n")
+
+
+def test_verify_reports_name_k(capsys):
+    code, out, _ = run_cli(capsys, "verify", "equidistribution", "--k", "3", "--n", "1",
+                           "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "target": "equidistribution", "k": 3, "n": 1,
+        "census": {"0": 13, "1": 13}, "expected": 13, "status": "PASS",
+    }
+    code, out, _ = run_cli(capsys, "verify", "census-vs-volumes", "--k", "3", "--n", "1",
+                           "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "target": "census-vs-volumes", "k": 3, "n": 1,
+        "entries": {"{}": {"census": 13, "volume": 13}, "{1}": {"census": 13, "volume": 13}},
+        "mismatches": [], "status": "PASS",
+    }
+    code, out, _ = run_cli(capsys, "verify", "equidistribution", "--n", "1")
+    assert code == 0 and out == ("PASS equidistribution\n  census: {'0': 2, '1': 2}\n"
+                                 "  expected: 2\n  k: 2\n  n: 1\n")
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -410,6 +456,47 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1
     assert out.startswith("FAIL") and "is interior to piece 0 but also in piece 1" in out
+
+
+def test_uncovered_probe_exits_1(capsys, monkeypatch):
+    # every probe point reads as outside every piece
+    monkeypatch.setattr(geometry, "_piece_memberships",
+                        lambda spec, k, numerators, denominator:
+                        ([False] * (spec.ambient_n // k),) * 2)
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
+    assert code == 1 and out.startswith("FAIL subdivision")
+    assert re.search(r"point \([0-9/, ]+\) is covered by no piece", out)
+
+
+def test_hypersimplex_off_the_eulerian_number_exits_1(capsys, monkeypatch):
+    real = geometry.eulerian
+    monkeypatch.setattr(geometry, "eulerian", lambda m, n: real(m, n) + 1)
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
+    assert code == 1 and out.startswith("FAIL subdivision")
+    assert "hypersimplex volume 4 != Eulerian number 5" in out
+
+
+def test_census_off_its_volume_exits_1(capsys, monkeypatch):
+    real = alcoved.exceedance_position_census
+
+    def off_by_one(n, k, cap):
+        census = real(n, k, cap)
+        census[(1,)] += 1
+        return census
+
+    monkeypatch.setattr(alcoved, "exceedance_position_census", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "census-vs-volumes", "--n", "2")
+    assert code == 1 and out.startswith("FAIL census-vs-volumes")
+    assert "  mismatches: ['{1}']\n" in out
+    assert "'{1}': {'census': 12, 'volume': 11}" in out
+
+
+def test_orbit_invariant_failure_exits_1(capsys, monkeypatch):
+    # every listed shift reads as exceedance 0
+    monkeypatch.setattr(orbit, "exceedance", lambda word: 0)
+    assert run_cli(capsys, "orbit", "2", "4", "1", "5", "3") == (
+        1, "", "error: internal invariant failed: "
+               "exceedances [0, 0, 0] are not a permutation of 0..2\n")
 
 
 def test_probe_shortfall_exits_1(capsys, monkeypatch):

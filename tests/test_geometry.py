@@ -26,8 +26,8 @@ from eulercat.geometry import (
     interpolate_at_integers,
     verify_subdivision,
 )
-from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
-from oracles import full_window_lattice_count
+from eulercat.numbers import eulerian, fuss_eulerian_catalan
+from oracles import eulerian_catalan, full_window_lattice_count
 
 
 def naive_lattice_points(spec, t):
@@ -379,8 +379,8 @@ def test_probes_read_the_counted_pkn_spec(monkeypatch):
     # and the probes must see it as well as the two volumes
     real = geometry.spec_for_Pkn
 
-    def loosened(k, n, flipped=()):
-        spec = real(k, n, flipped)
+    def loosened(k, n, flipped=(), cap=None):
+        spec = real(k, n, flipped, cap)
         first, *rest = spec.bounds
         return AlcovedSpec(spec.ambient_n, spec.level_k,
                            (first._replace(upper=first.upper + 1), *rest))

@@ -7,7 +7,6 @@ from eulercat.cli import main
 from eulercat.numbers import (
     catalan,
     eulerian,
-    eulerian_catalan,
     eulerian_catalan_upto,
     eulerian_row,
     eulerian_rows,
@@ -16,7 +15,7 @@ from eulercat.numbers import (
 from eulercat.paths import exceedance
 
 from conftest import brute_descent_census
-from oracles import enumerate_diagonal_paths
+from oracles import enumerate_diagonal_paths, eulerian_catalan
 
 
 def test_eulerian_small_values_against_brute_force():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eulercat.errors import WORK_CAP, Budget, ScaleCapError
-from eulercat.numbers import eulerian, eulerian_catalan, fuss_eulerian_catalan
+from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from eulercat.orbit import (
     CASE_N,
     CASE_N_PLUS_ONE,
@@ -19,6 +19,7 @@ from oracles import (
     descent_count,
     dyck_to_s2n_bijection,
     enumerate_by_descent_count,
+    eulerian_catalan,
     exceedance_positions,
     is_dyck_permutation,
     is_k_ballot,
@@ -134,10 +135,10 @@ def test_uncapped_walks_match_the_numbers():
 def test_census_scale_cap():
     # the walk's edge: census --n 30 fills 399,775 cells, --n 31 453,375
     budget = Budget()
-    assert set(equidistribution_census(30, budget).values()) == {eulerian_catalan(30)}
+    assert set(equidistribution_census(30, cap=budget).values()) == {eulerian_catalan(30)}
     assert budget.filled == 399_775
     with pytest.raises(ScaleCapError):
-        equidistribution_census(31, Budget())
+        equidistribution_census(31, cap=Budget())
 
 
 def test_count_dyck_permutations_examples():
@@ -167,6 +168,20 @@ def test_flaw_count_is_uniform_at_higher_k(k, n):
     counts = descent_word_walk(k * n + k - 1, n, step, cap=None)
     assert counts == {j: fuss_eulerian_catalan(k, n) for j in range(n + 1)}
     assert counts[0] == count_dyck_permutations(n, k, cap=None)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_census_buckets_are_fuss_at_every_k(k):
+    # the census against numbers' Eulerian recurrence, which reads no path
+    for n in range(9):
+        assert equidistribution_census(n, k) == {j: fuss_eulerian_catalan(k, n)
+                                                 for j in range(n + 1)}
+
+
+def test_census_rejects_bad_args():
+    for n, k, message in ((2, 1, "k must be >= 2"), (-1, 3, "n must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            equidistribution_census(n, k)
 
 
 def test_count_dyck_rejects_bad_args():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eulercat.alcoved import exceedance_position_census
 from eulercat.numbers import catalan
 from eulercat.paths import exceedance, is_flaw_step
 from eulercat.permcore import ad_vector
@@ -73,6 +74,19 @@ def test_flaw_rows_are_the_exceedance_columns_exhaustively(n):
 def test_flaw_rows_are_the_exceedance_columns(word):
     assert flaw_rows(word, 2) == exceedance_positions(word)
     assert exceedance(word) == len(flaw_rows(word, 2))
+
+
+@pytest.mark.parametrize("k,n", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1)])
+def test_flaw_row_census_matches_the_per_word_rows(k, n):
+    # every m = kn + k - 1 <= 9: the walk's bitmask of flaw rows against the rows
+    # read off each word of S_m with n descents
+    brute = Counter(
+        tuple(sorted(y + 1 for y in flaw_rows(ad_vector(w), k)))
+        for w in enumerate_by_descent_count(k * n + k - 1, n)
+    )
+    census = exceedance_position_census(n, k)
+    assert set(brute) <= set(census)
+    assert census == {T: brute[T] for T in census}
 
 
 def test_is_k_ballot_examples():
