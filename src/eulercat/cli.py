@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import numbers
 from .errors import WORK_CAP, Budget, InvariantError, ScaleCapError
@@ -59,22 +59,8 @@ def render_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
-def _format_parser(formats: list[str]) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--format", choices=formats, default="plain")
-    return parser
-
-
-def _cap_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--force", action="store_true", help=(
-        f"lift the work cap of {WORK_CAP} cells that the command's counts and volumes share"))
-    return parser
-
-
-def _budget(args) -> Optional[Budget]:
-    """The one budget that every engine call of the command charges; none under --force."""
-    return None if args.force else Budget()
+TABLE = ["plain", "csv", "json"]
+REPORT = ["plain", "json"]  # a report is no table, so no csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,47 +69,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Eulerian-Catalan counts, censuses, and polytope volumes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = [_format_parser(["plain", "csv", "json"])]
-    capped = common + [_cap_parser()]
-    report = [_format_parser(["plain", "json"])]  # a report is no table, so no csv
 
-    p = sub.add_parser("eulerian-row", parents=common, help="one row of the Eulerian triangle")
+    def command(name, run, help, formats=TABLE, capped=False):
+        """A subcommand that runs `run(args)`; only a capped one takes --force."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=formats, default="plain")
+        if capped:
+            p.add_argument("--force", action="store_true", help=(
+                f"lift the work cap of {WORK_CAP} cells that the command's counts "
+                "and volumes share"))
+        p.set_defaults(run=run, force=not capped)  # no cap, so no budget to charge
+        return p
+
+    p = command("eulerian-row", _cmd_eulerian_row, "one row of the Eulerian triangle")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("ec", parents=common, help="Eulerian-Catalan numbers EC_0..EC_max")
+    p = command("ec", _cmd_ec, "Eulerian-Catalan numbers EC_0..EC_max")
     p.add_argument("--max-n", type=int, required=True)
 
-    p = sub.add_parser("fuss", parents=common, help="the Fuss-type count A(n, kn+k-1)/(n+1)")
+    p = command("fuss", _cmd_fuss, "the Fuss-type count A(n, kn+k-1)/(n+1)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("catalan", parents=common, help="Catalan numbers C_0..C_max")
+    p = command("catalan", _cmd_catalan, "Catalan numbers C_0..C_max")
     p.add_argument("--max-n", type=int, required=True)
 
-    p = sub.add_parser("dyck-count", parents=capped, help="(k-1)-Dyck permutation count")
+    p = command("dyck-count", _cmd_dyck_count, "(k-1)-Dyck permutation count", capped=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
 
-    p = sub.add_parser("census", parents=capped,
-                       help="exceedance census of S_{2n+1} with n descents")
+    p = command("census", _cmd_census, "exceedance census of S_{2n+1} with n descents",
+                capped=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--by-position", action="store_true",
                    help="bucket by the exact set of exceedance positions")
 
-    p = sub.add_parser("orbit", parents=report,
-                       help="cyclic-orbit certificate for one permutation")
+    p = command("orbit", _cmd_orbit, "cyclic-orbit certificate for one permutation", REPORT)
     p.add_argument("word", type=int, nargs="+", metavar="W")
 
-    p = sub.add_parser("volume", parents=capped,
-                       help="exact normalized volume via Ehrhart counting")
+    p = command("volume", _cmd_volume, "exact normalized volume via Ehrhart counting",
+                capped=True)
     p.add_argument("--shape", choices=["hypersimplex", "pkn", "p2n"], required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--flip",
                    help="comma-separated flip set T for --shape p2n, e.g. 1,2")
 
-    p = sub.add_parser("verify", parents=report + [_cap_parser()],
-                       help="run a cross-verification identity")
+    p = command("verify", _cmd_verify, "run a cross-verification identity", REPORT,
+                capped=True)
     p.add_argument("target", choices=list(_VERIFY))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
@@ -156,36 +149,34 @@ def _cmd_catalan(args) -> tuple[int, str]:
 def _cmd_dyck_count(args) -> tuple[int, str]:
     from . import orbit
 
-    count = orbit.count_dyck_permutations(args.n, args.k, _budget(args))
+    count = orbit.count_dyck_permutations(args.n, args.k, args.cap)
     rows = [[args.n, args.k, count]]
     return EXIT_OK, render_table(["n", "k", "count"], rows, args.format)
 
 
 def _cmd_census(args) -> tuple[int, str]:
-    cap = _budget(args)
     if args.by_position:
         from . import alcoved
 
-        census = alcoved.exceedance_position_census(args.n, cap=cap)
+        census = alcoved.exceedance_position_census(args.n, cap=args.cap)
         rows = [[alcoved.subset_key(T), count] for T, count in census.items()]
         return EXIT_OK, render_table(["positions", "count"], rows, args.format)
     from . import orbit
 
-    census = orbit.equidistribution_census(args.n, cap=cap)
+    census = orbit.equidistribution_census(args.n, cap=args.cap)
     rows = [[j, count] for j, count in sorted(census.items())]
     return EXIT_OK, render_table(["exceedance", "count"], rows, args.format)
 
 
 def _cmd_orbit(args) -> tuple[int, str]:
     from . import orbit
+    from .permcore import format_permutation
 
     cert = orbit.analyze_orbit(args.word)
     if args.format == "json":
         return EXIT_OK, render_json(cert.to_json_dict())
-    rows = [
-        [start, " ".join(str(v) for v in w), exc]
-        for (start, w), exc in zip(cert.shifts, cert.exceedances)
-    ]
+    rows = [[start, format_permutation(w), exc]
+            for (start, w), exc in zip(cert.shifts, cert.exceedances)]
     table = render_table(["start", "shift", "exceedance"], rows, "plain")
     return EXIT_OK, f"case: {cert.case_tag}\n{table}"
 
@@ -199,28 +190,27 @@ def _parse_flip(text: str) -> frozenset[int]:
         raise ValueError(f"cannot parse flip set {text!r}") from exc
 
 
-def _volume_spec(args, cap: Optional[Budget]) -> AlcovedSpec:
+def _volume_spec(args) -> AlcovedSpec:
     from . import alcoved
 
     if args.shape == "p2n":
         if args.k is not None:
             raise ValueError("--k does not apply to --shape p2n (k is 2)")
-        return alcoved.spec_for_Pkn(2, args.n, _parse_flip(args.flip or ""), cap)
+        return alcoved.spec_for_Pkn(2, args.n, _parse_flip(args.flip or ""), args.cap)
     if args.flip is not None:
         raise ValueError(f"--flip applies only to --shape p2n, not {args.shape}")
     if args.k is None:
         raise ValueError(f"--k is required for --shape {args.shape}")
     if args.shape == "hypersimplex":
         return alcoved.spec_for_hypersimplex(args.k, args.n)
-    return alcoved.spec_for_Pkn(args.k, args.n, cap=cap)
+    return alcoved.spec_for_Pkn(args.k, args.n, cap=args.cap)
 
 
 def _cmd_volume(args) -> tuple[int, str]:
     from . import geometry
 
-    cap = _budget(args)
-    spec = _volume_spec(args, cap)
-    record = geometry.ehrhart_volume(spec, cap)
+    spec = _volume_spec(args)
+    record = geometry.ehrhart_volume(spec, args.cap)
     if args.format == "json":
         return EXIT_OK, render_json(
             {"spec": spec.to_json_dict(), "ehrhart": record.to_json_dict()}
@@ -229,10 +219,10 @@ def _cmd_volume(args) -> tuple[int, str]:
     return EXIT_OK, render_table(["shape", "dimension", "volume"], rows, args.format)
 
 
-def _verify_equidistribution(args, cap: Optional[Budget]) -> tuple[bool, dict]:
+def _verify_equidistribution(args) -> tuple[bool, dict]:
     from . import orbit
 
-    census = orbit.equidistribution_census(args.n, args.k, cap)
+    census = orbit.equidistribution_census(args.n, args.k, args.cap)
     expected = numbers.fuss_eulerian_catalan(args.k, args.n)
     ok = all(count == expected for count in census.values())
     return ok, {
@@ -244,19 +234,20 @@ def _verify_equidistribution(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     }
 
 
-def _verify_subdivision(args, cap: Optional[Budget]) -> tuple[bool, dict]:
+def _verify_subdivision(args) -> tuple[bool, dict]:
     from . import geometry
 
-    return geometry.verify_subdivision(args.k, args.n, cap=cap)
+    return geometry.verify_subdivision(args.k, args.n, cap=args.cap)
 
 
-def _verify_alcoved_vs_dyck(args, cap: Optional[Budget]) -> tuple[bool, dict]:
+def _verify_alcoved_vs_dyck(args) -> tuple[bool, dict]:
     from . import alcoved, orbit
 
     if args.n < 1:
         raise ValueError("n must be >= 1")  # P_{k,0} is no polytope
-    via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=cap)
-    via_alcoves = alcoved.w_set_count(alcoved.spec_for_Pkn(args.k, args.n, cap=cap), cap=cap)
+    via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=args.cap)
+    spec = alcoved.spec_for_Pkn(args.k, args.n, cap=args.cap)
+    via_alcoves = alcoved.w_set_count(spec, cap=args.cap)
     return via_alcoves == via_paths, {
         "target": "alcoved-vs-dyck",
         "k": args.k,
@@ -266,17 +257,17 @@ def _verify_alcoved_vs_dyck(args, cap: Optional[Budget]) -> tuple[bool, dict]:
     }
 
 
-def _verify_census_vs_volumes(args, cap: Optional[Budget]) -> tuple[bool, dict]:
+def _verify_census_vs_volumes(args) -> tuple[bool, dict]:
     from . import alcoved, geometry
 
     if args.n < 1:
         raise ValueError("n must be >= 1")  # P_{k,0}(T) is no polytope
-    census = alcoved.exceedance_position_census(args.n, args.k, cap)
+    census = alcoved.exceedance_position_census(args.n, args.k, args.cap)
     entries = {}
     mismatches = []
     for T, count in census.items():
-        spec = alcoved.spec_for_Pkn(args.k, args.n, T, cap)
-        volume = geometry.ehrhart_volume(spec, cap=cap).normalized_volume
+        spec = alcoved.spec_for_Pkn(args.k, args.n, T, args.cap)
+        volume = geometry.ehrhart_volume(spec, cap=args.cap).normalized_volume
         entries[alcoved.subset_key(T)] = {"census": count, "volume": volume}
         if count != volume:
             mismatches.append(alcoved.subset_key(T))
@@ -298,7 +289,7 @@ _VERIFY = {
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    ok, report = _VERIFY[args.target](args, _budget(args))
+    ok, report = _VERIFY[args.target](args)
     report["status"] = "PASS" if ok else "FAIL"
     code = EXIT_OK if ok else EXIT_VERIFY_FAILED
     if args.format == "json":
@@ -321,24 +312,15 @@ def _write_stdout(text: str) -> None:
     sys.stdout.buffer.flush()
 
 
-_DISPATCH = {
-    "eulerian-row": _cmd_eulerian_row,
-    "ec": _cmd_ec,
-    "fuss": _cmd_fuss,
-    "catalan": _cmd_catalan,
-    "dyck-count": _cmd_dyck_count,
-    "census": _cmd_census,
-    "orbit": _cmd_orbit,
-    "volume": _cmd_volume,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.cap = None if args.force else Budget()  # the one budget every engine call charges
+    # an answer may have any number of digits; argv was read under the limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
-        code, text = _DISPATCH[args.command](args)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        code, text = args.run(args)
         _write_stdout(text)
         return code
     except BrokenPipeError:
@@ -354,6 +336,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +336,57 @@ def test_option_surface_is_pinned():
         "volume": {"--shape", "--k", "--n", "--flip", "--format", "--force"},
         "verify": {"target", "--n", "--k", "--format", "--force"},
     }
+
+
+HELP = {
+    "eulerian-row": "one row of the Eulerian triangle",
+    "ec": "Eulerian-Catalan numbers EC_0..EC_max",
+    "fuss": "the Fuss-type count A(n, kn+k-1)/(n+1)",
+    "catalan": "Catalan numbers C_0..C_max",
+    "dyck-count": "(k-1)-Dyck permutation count",
+    "census": "exceedance census of S_{2n+1} with n descents",
+    "orbit": "cyclic-orbit certificate for one permutation",
+    "volume": "exact normalized volume via Ehrhart counting",
+    "verify": "run a cross-verification identity",
+}
+CAPPED = {"dyck-count", "census", "volume", "verify"}
+
+
+def run_help(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per entry
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    return captured.out
+
+
+def test_help_lists_every_command(capsys, monkeypatch):
+    out = run_help(capsys, monkeypatch)
+    for name, text in HELP.items():
+        assert re.search(rf"^    {re.escape(name)} +{re.escape(text)}$", out, re.M), name
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_command_help_shows_force_only_where_capped(capsys, monkeypatch, command):
+    out = run_help(capsys, monkeypatch, command)
+    assert out.startswith(f"usage: eulercat {command} [-h] [--format {{plain,")
+    assert ("--force" in out) == (command in CAPPED)
+
+
+README_CLI = (Path(__file__).resolve().parents[1] / "README.md").read_text() \
+    .split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+README_EXAMPLES = [shlex.split(line.split("#", 1)[0])[1:] for line in README_CLI.splitlines()]
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in README_EXAMPLES} == set(HELP)
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_examples_run(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == ""
 
 
 SAMPLE_ARGV = {

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -136,3 +137,29 @@ def test_ec_cli_walk_matches_one_at_a_time(capsys):
     assert main(["ec", "--max-n", "40", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows == [{"n": n, "ec": eulerian_catalan(n)} for n in range(41)]
+
+
+def test_answers_of_any_size_print(capsys):
+    # fuss(5000, 2) has 7,156 digits, past CPython's default limit for int-to-str
+    assert main(["fuss", "--k", "5000", "--n", "2", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digits = captured.out.splitlines()[1].split(",")[2]
+    assert len(digits) == 7156
+    value = 0
+    for start in range(0, len(digits), 1000):  # read back in pieces under the limit
+        piece = digits[start:start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    assert value == closed_form_eulerian(2, 14999) // 3
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-to-str digit limit")
+def test_argv_keeps_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["fuss", "--k", "3", "--n", "1"]) == 0
+    assert sys.get_int_max_str_digits() == limit  # the caller's limit comes back
+    with pytest.raises(SystemExit) as exc:
+        main(["catalan", "--max-n", "-1" + "0" * 5000])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
