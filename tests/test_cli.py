@@ -452,19 +452,22 @@ def test_verify_refuses_k_below_2(capsys, target):
 
 
 def test_verify_reports_name_k(capsys):
-    code, out, _ = run_cli(capsys, "verify", "equidistribution", "--k", "3", "--n", "1",
-                           "--format", "json")
-    assert code == 0 and json.loads(out) == {
-        "target": "equidistribution", "k": 3, "n": 1,
-        "census": {"0": 13, "1": 13}, "expected": 13, "status": "PASS",
-    }
-    code, out, _ = run_cli(capsys, "verify", "census-vs-volumes", "--k", "3", "--n", "1",
-                           "--format", "json")
-    assert code == 0 and json.loads(out) == {
-        "target": "census-vs-volumes", "k": 3, "n": 1,
-        "entries": {"{}": {"census": 13, "volume": 13}, "{1}": {"census": 13, "volume": 13}},
-        "mismatches": [], "status": "PASS",
-    }
+    # every report is target, k, n and status around what its target measured
+    for target, k, measured in [
+        ("equidistribution", 3, {"census": {"0": 13, "1": 13}, "expected": 13}),
+        ("census-vs-volumes", 3, {
+            "entries": {"{}": {"census": 13, "volume": 13}, "{1}": {"census": 13, "volume": 13}},
+            "mismatches": []}),
+        ("alcoved-vs-dyck", 3, {"alcoved_count": 13, "dyck_count": 13}),
+        ("subdivision", 2, {
+            "piece_volumes": [2, 2], "total_volume": 4, "hypersimplex_volume": 4,
+            "expected_piece_volume": 2, "expected_total_volume": 4, "points_probed": 120,
+            "interior_hits": [60, 58], "failures": []}),
+    ]:
+        code, out, _ = run_cli(capsys, "verify", target, "--k", str(k), "--n", "1",
+                               "--format", "json")
+        assert code == 0 and json.loads(out) == {
+            "target": target, "k": k, "n": 1, **measured, "status": "PASS"}
     code, out, _ = run_cli(capsys, "verify", "equidistribution", "--n", "1")
     assert code == 0 and out == ("PASS equidistribution\n  census: {'0': 2, '1': 2}\n"
                                  "  expected: 2\n  k: 2\n  n: 1\n")
@@ -567,6 +570,19 @@ def test_invariant_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "invariant" in err and "h(0) = 1" in err
+
+
+def test_wrong_lattice_count_prints_no_volume(capsys, monkeypatch):
+    # an interpolant through a wrong h(2) still meets h(0..d); reciprocity catches it
+    real = geometry.count_dilated_lattice_points
+
+    def off_by_one_at_2(spec, t, cap=None):
+        return real(spec, t, cap) + (t == 2)
+
+    monkeypatch.setattr(geometry, "count_dilated_lattice_points", off_by_one_at_2)
+    code, out, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert "invariant" in err and "h(-1)" in err
 
 
 DIET_PROBE = """

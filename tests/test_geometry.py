@@ -319,15 +319,11 @@ def test_ehrhart_at_scale():
 def test_verify_subdivision_passes(k, n):
     ok, report = verify_subdivision(k, n)
     assert ok, report["failures"]
-    assert report["passed"] and report["target"] == "subdivision"
     assert set(report["piece_volumes"]) == {fuss_eulerian_catalan(k, n)}
     assert report["total_volume"] == eulerian(n, k * (n + 1) - 1)
     assert report["points_probed"] > 0
     assert sum(report["interior_hits"]) > 0
     assert len(report["piece_volumes"]) == n + 1
-    assert report["piece_symmetry"] == (
-        f"pieces 1..{n} are images of P_{{{k},{n}}} under the coordinate rotation by {k}*i"
-    )
 
 
 @pytest.mark.parametrize("k,n,flipped", [
@@ -366,7 +362,7 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
     ok, report = verify_subdivision(2, 1)
     coords = (Fraction(c, geometry.PROBE_DENOMINATOR) for c in seen[0])
     point = "(" + ", ".join(f"{f.numerator}/{f.denominator}" for f in coords) + ")"
-    assert not ok and not report["passed"]
+    assert not ok
     assert report["failures"] == [
         f"point {point} is interior to piece 0 but also in piece 1",
         f"point {point} is interior to piece 1 but also in piece 0",
