@@ -141,7 +141,7 @@ def _cmd_fuss(args) -> tuple[int, str]:
 
 def _cmd_catalan(args) -> tuple[int, str]:
     if args.max_n < 0:
-        raise ValueError("--max-n must be >= 0")
+        raise ValueError("max_n must be >= 0")
     rows = [[n, numbers.catalan(n)] for n in range(args.max_n + 1)]
     return EXIT_OK, render_table(["n", "catalan"], rows, args.format)
 
@@ -170,15 +170,13 @@ def _cmd_census(args) -> tuple[int, str]:
 
 def _cmd_orbit(args) -> tuple[int, str]:
     from . import orbit
-    from .permcore import format_permutation
 
-    cert = orbit.analyze_orbit(args.word)
+    cert = orbit.analyze_orbit(args.word).to_json_dict()
     if args.format == "json":
-        return EXIT_OK, render_json(cert.to_json_dict())
-    rows = [[start, format_permutation(w), exc]
-            for (start, w), exc in zip(cert.shifts, cert.exceedances)]
+        return EXIT_OK, render_json(cert)
+    rows = [[s["start"], s["permutation"], s["exceedance"]] for s in cert["shifts"]]
     table = render_table(["start", "shift", "exceedance"], rows, "plain")
-    return EXIT_OK, f"case: {cert.case_tag}\n{table}"
+    return EXIT_OK, f"case: {cert['case']}\n{table}"
 
 
 def _parse_flip(text: str) -> frozenset[int]:
@@ -237,10 +235,8 @@ def _verify_subdivision(args) -> tuple[bool, dict]:
 def _verify_alcoved_vs_dyck(args) -> tuple[bool, dict]:
     from . import alcoved, orbit
 
-    if args.n < 1:
-        raise ValueError("n must be >= 1")  # P_{k,0} is no polytope
-    via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=args.cap)
     spec = alcoved.spec_for_Pkn(args.k, args.n, cap=args.cap)
+    via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=args.cap)
     via_alcoves = alcoved.w_set_count(spec, cap=args.cap)
     return via_alcoves == via_paths, {"alcoved_count": via_alcoves, "dyck_count": via_paths}
 

@@ -12,40 +12,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import InvariantError
 
 
-def eulerian_rows(
-    n: int, descents: Optional[int] = None, ascents: Optional[int] = None
-) -> Iterator[tuple[int, list[int]]]:
+def eulerian_rows(n: int, descents: int, ascents: int) -> Iterator[tuple[int, list[int]]]:
     """
     Rows 1..n of the Eulerian triangle, row r as (lo, [A(lo, r), ..., A(hi, r)]):
     the band max(0, r-1-ascents) <= m <= min(r-1, descents) of entries with at
-    most that many descents and ascents, or the whole row (lo = 0, hi = r-1)
-    where a limit is None.  Each row is built from the one before by
-    A(m, r) = (r-m) A(m-1, r-1) + (m+1) A(m, r-1), which reads only entries
+    most that many descents and ascents.  Each row is built from the one before
+    by A(m, r) = (r-m) A(m-1, r-1) + (m+1) A(m, r-1), which reads only entries
     of the previous row's band, and nothing older is kept.
     """
     lo, row = 0, [1]  # row 0: the empty permutation, no descents
     for r in range(1, n + 1):
-        prev_lo = lo
-        lo = 0 if ascents is None else max(0, r - 1 - ascents)  # prev_lo or prev_lo + 1
-        hi = r - 1 if descents is None else min(r - 1, descents)
-        padded = [0, *row, 0] if lo == prev_lo else [*row, 0]  # [m - lo] = A(m-1, r-1)
+        # lo stays or moves up by one, and hi by at most one: both ends padded,
+        # padded[m - prev_lo + 1] = A(m, r-1) covers either move
+        prev_lo, padded = lo, [0, *row, 0]
+        lo, hi = max(0, r - 1 - ascents), min(r - 1, descents)
         row = [
-            (r - m) * padded[m - lo] + (m + 1) * padded[m - lo + 1]
+            (r - m) * padded[m - prev_lo] + (m + 1) * padded[m - prev_lo + 1]
             for m in range(lo, hi + 1)
         ]
         yield lo, row
 
 
 def eulerian_row(n: int) -> list[int]:
-    """[A(0, n), ..., A(n-1, n)]."""
+    """[A(0, n), ..., A(n-1, n)]: the band of at most n-1 descents and ascents."""
     if n <= 0:
         raise ValueError("n must be >= 1")
-    for _, row in eulerian_rows(n):
+    for _, row in eulerian_rows(n, n - 1, n - 1):
         pass
     return row
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from eulercat import alcoved, geometry, orbit
+from eulercat import alcoved, geometry, numbers, orbit
 from eulercat.cli import build_parser, main
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from oracles import eulerian_catalan
@@ -233,6 +233,7 @@ def test_large_ambient_dimension_is_refused_before_the_dp(capsys, argv):
     ("volume", "--shape", "pkn", "--k", "2", "--n", "1000000"),
     ("volume", "--shape", "p2n", "--n", "1000000"),
     ("verify", "subdivision", "--k", "2", "--n", "1000000"),
+    ("verify", "alcoved-vs-dyck", "--k", "2", "--n", "1000000"),
 ])
 def test_huge_p_kn_is_refused_before_its_bounds_are_built(capsys, monkeypatch, argv):
     # P_{k,n} charges one cell per bound before it builds any
@@ -243,14 +244,7 @@ def test_huge_p_kn_is_refused_before_its_bounds_are_built(capsys, monkeypatch, a
     assert run_cli(capsys, *argv) == (3, "", CAP_REFUSAL)
 
 
-def test_alcoved_vs_dyck_is_refused_before_p_kn_is_built(capsys, monkeypatch):
-    def unbuilt(*args):
-        raise AssertionError("P_{k,n} built before the cap refusal")
-
-    monkeypatch.setattr(alcoved, "spec_for_Pkn", unbuilt)
-    code, out, err = run_cli(capsys, "verify", "alcoved-vs-dyck", "--n", "1000000")
-    assert code == 3 and out == ""
-    assert err == CAP_REFUSAL
+def test_alcoved_vs_dyck_refuses_n_below_1(capsys):
     # P_{k,0} is no polytope: n < 1 is refused with one text, as in census-vs-volumes
     for n in ("0", "-1"):
         assert run_cli(capsys, "verify", "alcoved-vs-dyck", "--n", n) == \
@@ -281,7 +275,7 @@ def test_benchmark_commands_pass_the_cap(capsys, argv):
 @pytest.mark.parametrize("argv,err", [
     (("eulerian-row", "--n", "0"), "error: n must be >= 1\n"),
     (("ec", "--max-n", "-1"), "error: max_n must be >= 0\n"),
-    (("catalan", "--max-n", "-1"), "error: --max-n must be >= 0\n"),
+    (("catalan", "--max-n", "-1"), "error: max_n must be >= 0\n"),
 ])
 def test_numbers_commands_refuse_out_of_range(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
@@ -507,7 +501,7 @@ def test_closed_stdout_exits_141_when_unbuffered():
 def test_overlapping_probe_exits_1(capsys, monkeypatch):
     # every probe point reads as interior to every piece
     monkeypatch.setattr(geometry, "_piece_memberships",
-                        lambda spec, k, numerators, denominator:
+                        lambda spec, k, numerators:
                         ([True] * (spec.ambient_n // k),) * 2)
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1
@@ -517,7 +511,7 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
 def test_uncovered_probe_exits_1(capsys, monkeypatch):
     # every probe point reads as outside every piece
     monkeypatch.setattr(geometry, "_piece_memberships",
-                        lambda spec, k, numerators, denominator:
+                        lambda spec, k, numerators:
                         ([False] * (spec.ambient_n // k),) * 2)
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1 and out.startswith("FAIL subdivision")
@@ -525,11 +519,11 @@ def test_uncovered_probe_exits_1(capsys, monkeypatch):
 
 
 def test_hypersimplex_off_the_eulerian_number_exits_1(capsys, monkeypatch):
-    real = geometry.eulerian
-    monkeypatch.setattr(geometry, "eulerian", lambda m, n: real(m, n) + 1)
+    real = geometry.fuss_eulerian_catalan
+    monkeypatch.setattr(geometry, "fuss_eulerian_catalan", lambda k, n: real(k, n) + 1)
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1 and out.startswith("FAIL subdivision")
-    assert "hypersimplex volume 4 != Eulerian number 5" in out
+    assert "hypersimplex volume 4 != Eulerian number 6" in out
 
 
 def test_census_off_its_volume_exits_1(capsys, monkeypatch):
@@ -583,6 +577,36 @@ def test_wrong_lattice_count_prints_no_volume(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "3")
     assert (code, out) == (1, "")
     assert "invariant" in err and "h(-1)" in err
+
+
+def test_indivisible_fuss_count_exits_1(capsys, monkeypatch):
+    real = numbers.eulerian
+    monkeypatch.setattr(numbers, "eulerian", lambda m, n: real(m, n) + 1)
+    assert run_cli(capsys, "fuss", "--k", "2", "--n", "3") == (
+        1, "", "error: internal invariant failed: fuss(2, 3): 2417 is not divisible by 4; "
+               "this indicates a bug in the Eulerian recurrence\n")
+
+
+def test_indivisible_eulerian_catalan_number_exits_1(capsys, monkeypatch):
+    real = numbers.eulerian_rows
+
+    def raised_by_one(n, descents, ascents):
+        for lo, row in real(n, descents, ascents):
+            yield lo, [a + 1 for a in row]  # a copy: the walk reads its own row
+
+    monkeypatch.setattr(numbers, "eulerian_rows", raised_by_one)
+    code, out, err = run_cli(capsys, "ec", "--max-n", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal invariant failed: EC_1: 5 is not divisible by 2;")
+
+
+def test_negative_volume_exits_1(capsys, monkeypatch):
+    # h = 1, 1, 0 meets h(1) >= 1, full degree and h(-1) = 0, but 2! h(t) = 2 + t - t^2
+    monkeypatch.setattr(geometry, "count_dilated_lattice_points",
+                        lambda spec, t, cap=None: (1, 1, 0)[t])
+    code, out, err = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "1", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: internal invariant failed: normalized volume -1 is negative\n"
 
 
 DIET_PROBE = """

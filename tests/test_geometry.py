@@ -340,7 +340,7 @@ def test_integer_membership_matches_fraction_sums(k, n, flipped):
     spec = spec_for_Pkn(k, n, flipped)
     for numerators in points:
         point = tuple(Fraction(c, d) for c in numerators)
-        closed, interior = geometry._piece_memberships(spec, k, numerators, d)
+        closed, interior = geometry._piece_memberships(spec, k, numerators)
         assert closed == [
             fraction_piece_membership(k, n, i, point, False, flipped) for i in range(n + 1)]
         assert interior == [
@@ -351,9 +351,9 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
     real = geometry._piece_memberships
     seen = []
 
-    def overlap_first_point(spec, k, numerators, denominator):
+    def overlap_first_point(spec, k, numerators):
         seen.append(numerators)
-        closed, interior = real(spec, k, numerators, denominator)
+        closed, interior = real(spec, k, numerators)
         if len(seen) == 1:
             closed[:2] = interior[:2] = [True, True]
         return closed, interior

@@ -109,7 +109,7 @@ def test_eulerian_band_far_from_the_row_matches_closed_form(m, n):
 
 def test_band_walk_matches_full_row_walk():
     # eulerian_catalan_upto walks only the band of at most N descents and N ascents
-    full = [row for _, row in eulerian_rows(121)]
+    full = [row for _, row in eulerian_rows(121, 120, 120)]
     for max_n in range(61):
         assert eulerian_catalan_upto(max_n) == [
             full[2 * n][n] // (n + 1) for n in range(max_n + 1)
