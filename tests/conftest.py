@@ -3,6 +3,9 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
+# the oracles' asserts are checks too: rewritten, they also run under python -O
+pytest.register_assert_rewrite("oracles")
+
 
 def perms_of(m):
     """All permutations of [m] as tuples, lexicographic."""

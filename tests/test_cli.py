@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from eulercat import alcoved, geometry, numbers, orbit
-from eulercat.cli import build_parser, main
+from eulercat.cli import _volume_spec, build_parser, main
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from oracles import eulerian_catalan
 
@@ -136,6 +136,20 @@ def test_volume_json(capsys):
                            "--flip", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["ehrhart"]["normalized_volume"] == 11
+
+
+def test_p2n_is_pkn_at_k_2(capsys):
+    # --shape p2n --flip T builds P_{2,n}(T), and with no --flip prints what pkn --k 2 does
+    parser = build_parser()
+    for n in range(1, 5):
+        for flipped in alcoved.all_subsets(n):
+            args = parser.parse_args(["volume", "--shape", "p2n", "--n", str(n),
+                                      "--flip", ",".join(map(str, flipped))])
+            args.cap = None
+            assert _volume_spec(args) == alcoved.spec_for_Pkn(2, n, flipped)
+    outs = [run_cli(capsys, "volume", "--shape", *shape, "--n", "3", "--format", "json")
+            for shape in (("p2n",), ("pkn", "--k", "2"))]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 @pytest.mark.parametrize("n,flip,message", [
@@ -455,8 +469,7 @@ def test_verify_reports_name_k(capsys):
         ("alcoved-vs-dyck", 3, {"alcoved_count": 13, "dyck_count": 13}),
         ("subdivision", 2, {
             "piece_volumes": [2, 2], "total_volume": 4, "hypersimplex_volume": 4,
-            "expected_piece_volume": 2, "expected_total_volume": 4, "points_probed": 120,
-            "interior_hits": [60, 58], "failures": []}),
+            "expected_piece_volume": 2, "interior_hits": [60, 58], "failures": []}),
     ]:
         code, out, _ = run_cli(capsys, "verify", target, "--k", str(k), "--n", "1",
                                "--format", "json")
@@ -549,34 +562,31 @@ def test_orbit_invariant_failure_exits_1(capsys, monkeypatch):
                "exceedances [0, 0, 0] are not a permutation of 0..2\n")
 
 
-def test_probe_shortfall_exits_1(capsys, monkeypatch):
-    real = geometry._sample_hypersimplex_points
-    monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
-                        lambda spec, count, rng, cap: real(spec, count, rng, cap)[:3])
-    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
-    assert code == 1
-    assert out.startswith("FAIL") and "drew only 3 of 120 probe points" in out
-
-
 def test_invariant_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(geometry, "eval_poly", lambda coeffs, x: -1)
     code, out, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "1")
     assert code == 1
     assert out == ""
-    assert "invariant" in err and "h(0) = 1" in err
+    assert err == ("error: internal invariant failed: h(-1) = -1/6, not 0: "
+                   "a lattice-point count is wrong\n")
 
 
 def test_wrong_lattice_count_prints_no_volume(capsys, monkeypatch):
-    # an interpolant through a wrong h(2) still meets h(0..d); reciprocity catches it
+    # the interpolant meets every h(0..d) it is given, wrong or not, so h(-1) = 0 is
+    # its one guard: one count off by one at any dilation must exit 1
     real = geometry.count_dilated_lattice_points
-
-    def off_by_one_at_2(spec, t, cap=None):
-        return real(spec, t, cap) + (t == 2)
-
-    monkeypatch.setattr(geometry, "count_dilated_lattice_points", off_by_one_at_2)
-    code, out, err = run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "3")
-    assert (code, out) == (1, "")
-    assert "invariant" in err and "h(-1)" in err
+    wrong = {}
+    monkeypatch.setattr(geometry, "count_dilated_lattice_points",
+                        lambda spec, t, cap=None: real(spec, t, cap) + wrong.get(t, 0))
+    for shape, d in [(("pkn", "--k", "2", "--n", "3"), 7), (("pkn", "--k", "2", "--n", "2"), 5),
+                     (("hypersimplex", "--k", "3", "--n", "6"), 5)]:
+        for t in range(d + 1):
+            for delta in (1, -1):
+                wrong.clear()
+                wrong[t] = delta
+                code, out, err = run_cli(capsys, "volume", "--shape", *shape)
+                assert (code, out) == (1, ""), (shape, t, delta)
+                assert err.startswith("error: internal invariant failed: h(-1) = "), err
 
 
 def test_indivisible_fuss_count_exits_1(capsys, monkeypatch):

@@ -41,8 +41,6 @@ def test_record_json_shapes():
         "total_volume": 4,
         "hypersimplex_volume": 4,
         "expected_piece_volume": 2,
-        "expected_total_volume": 4,
-        "points_probed": 120,
         "interior_hits": [60, 58],
         "failures": [],
     }

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import eulercat
@@ -47,6 +48,23 @@ def test_every_public_function_runs_in_src():
             named.update(name for name in _names(node) if name != own)
     assert "analyze_orbit" in defined
     assert sorted(where for name, where in defined.items() if name not in named) == []
+
+
+def test_every_private_helper_is_named_in_src():
+    # a private function or class that no src code names outside its own definition
+    # is dead: a simplification left it behind, or only a test still calls it
+    trees = [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in SOURCES]
+    named = Counter(name for _, tree in trees for name in _names(tree))
+    private = [
+        (f"{file}:{node.lineno} {node.name}", node)
+        for file, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+    assert "_windows" in {node.name for _, node in private}
+    assert sorted(where for where, node in private
+                  if named[node.name] == Counter(_names(node))[node.name]) == []
 
 
 def test_scale_cap_error_is_raised_in_one_place():
