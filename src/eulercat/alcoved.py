@@ -14,6 +14,7 @@ of the ad-word's path after j - 1 letters, read by one descent-word walk.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import Budget
@@ -27,8 +28,7 @@ class Bound(NamedTuple):
     upper: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        # "i": 0 keeps the published shape b <= x_{i+1} + ... + x_j <= c
-        return {"i": 0, "j": self.j, "b": self.lower, "c": self.upper}
+        return {"j": self.j, "b": self.lower, "c": self.upper}
 
 
 class _SpecFields(NamedTuple):
@@ -124,10 +124,8 @@ def w_set_count(spec: AlcovedSpec, cap: Optional[Budget] = None) -> int:
 
 def all_subsets(n: int) -> list[tuple[int, ...]]:
     """Subsets of {1..n} as sorted tuples, ordered by size then value."""
-    subsets = (
-        tuple(t for t in range(1, n + 1) if mask >> (t - 1) & 1) for mask in range(1 << n)
-    )
-    return sorted(subsets, key=lambda T: (len(T), T))
+    values = range(1, n + 1)
+    return [T for size in range(n + 1) for T in itertools.combinations(values, size)]
 
 
 def subset_key(T: Iterable[int]) -> str:

@@ -16,7 +16,8 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import numbers
-from .errors import WORK_CAP, Budget, InvariantError, ScaleCapError
+from .errors import (WORK_CAP, Budget, DegenerateDimensionError, InvariantError,
+                     ScaleCapError)
 
 if TYPE_CHECKING:
     from .alcoved import AlcovedSpec
@@ -171,7 +172,7 @@ def _cmd_census(args) -> tuple[int, str]:
 def _cmd_orbit(args) -> tuple[int, str]:
     from . import orbit
 
-    cert = orbit.analyze_orbit(args.word).to_json_dict()
+    cert = orbit.analyze_orbit(args.word)
     if args.format == "json":
         return EXIT_OK, render_json(cert)
     rows = [[s["start"], s["permutation"], s["exceedance"]] for s in cert["shifts"]]
@@ -208,12 +209,10 @@ def _cmd_volume(args) -> tuple[int, str]:
     from . import geometry
 
     spec = _volume_spec(args)
-    record = geometry.ehrhart_volume(spec, args.cap)
+    ehrhart = geometry.ehrhart_volume(spec, args.cap)
     if args.format == "json":
-        return EXIT_OK, render_json(
-            {"spec": spec.to_json_dict(), "ehrhart": record.to_json_dict()}
-        )
-    rows = [[args.shape, record.dimension, record.normalized_volume]]
+        return EXIT_OK, render_json({"spec": spec.to_json_dict(), "ehrhart": ehrhart})
+    rows = [[args.shape, ehrhart["dimension"], ehrhart["normalized_volume"]]]
     return EXIT_OK, render_table(["shape", "dimension", "volume"], rows, args.format)
 
 
@@ -251,7 +250,7 @@ def _verify_census_vs_volumes(args) -> tuple[bool, dict]:
     mismatches = []
     for T, count in census.items():
         spec = alcoved.spec_for_Pkn(args.k, args.n, T, args.cap)
-        volume = geometry.ehrhart_volume(spec, cap=args.cap).normalized_volume
+        volume = geometry.ehrhart_volume(spec, cap=args.cap)["normalized_volume"]
         entries[alcoved.subset_key(T)] = {"census": count, "volume": volume}
         if count != volume:
             mismatches.append(alcoved.subset_key(T))
@@ -310,7 +309,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScaleCapError as exc:
         print(f"error: {exc}; pass --force to proceed", file=sys.stderr)
         return EXIT_SCALE_CAP
-    except InvariantError as exc:
+    except (InvariantError, DegenerateDimensionError) as exc:
+        # every spec the CLI builds is full-dimensional and non-empty, so an empty or
+        # flat polytope here is a bug, not bad input
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except ValueError as exc:

@@ -30,3 +30,7 @@ class Budget:
 
 class InvariantError(Exception):
     """An internal invariant failed: a bug in the package, not bad input."""
+
+
+class DegenerateDimensionError(ValueError):
+    """A polytope is empty or lower-dimensional, so it has no normalized volume."""

@@ -24,10 +24,10 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
-from .errors import Budget, InvariantError
+from .errors import Budget, DegenerateDimensionError, InvariantError
 from .numbers import fuss_eulerian_catalan
 
 if TYPE_CHECKING:
@@ -36,10 +36,6 @@ if TYPE_CHECKING:
 PROBE_SAMPLES = 120
 PROBE_SEED = 271828
 PROBE_DENOMINATOR = 97
-
-
-class DegenerateDimensionError(ValueError):
-    """The interpolated polynomial has degree < d: the polytope is lower-dimensional."""
 
 
 def _windows(
@@ -148,34 +144,19 @@ def _ratio(numerator: int, denominator: int) -> str:
     return f"{numerator // g}/{denominator // g}"
 
 
-class EhrhartRecord(NamedTuple):
-    dimension: int
-    evaluations: tuple[int, ...]
-    coefficients: tuple[int, ...]  # of d! times the Ehrhart polynomial
-    normalized_volume: int
-
-    def to_json_dict(self) -> dict:
-        d_factorial = math.factorial(self.dimension)
-        return {
-            "dimension": self.dimension,
-            "evaluations": list(self.evaluations),
-            "coefficients": [_ratio(c, d_factorial) for c in self.coefficients],
-            "normalized_volume": self.normalized_volume,
-        }
-
-
-def ehrhart_volume(spec: AlcovedSpec, cap: Optional[Budget] = None) -> EhrhartRecord:
+def ehrhart_volume(spec: AlcovedSpec, cap: Optional[Budget] = None) -> dict:
     """
     Evaluate the lattice-point count at t = 0..d, interpolate d! times the
-    Ehrhart polynomial, check it at t = -1, and return the record; its
-    leading coefficient is the normalized volume.
+    Ehrhart polynomial and check it at t = -1.  Returns the dimension d, the
+    evaluations, the polynomial's coefficients (ascending, as "num/den") and
+    its leading coefficient times d!, the normalized volume.
     """
     d = spec.ambient_n - 1
-    evaluations = tuple(count_dilated_lattice_points(spec, t, cap) for t in range(d + 1))
+    evaluations = [count_dilated_lattice_points(spec, t, cap) for t in range(d + 1)]
     # integer bounds make the polytope a lattice polytope: if nonempty, its
     # vertices are lattice points of the undilated copy (t = 1)
     if evaluations[1] < 1:
-        raise ValueError(f"empty polytope: h(1) = {evaluations[1]}")
+        raise DegenerateDimensionError(f"empty polytope: h(1) = {evaluations[1]}")
     coeffs = interpolate_at_integers(evaluations)
     if coeffs[d] == 0:
         raise DegenerateDimensionError(
@@ -185,13 +166,19 @@ def ehrhart_volume(spec: AlcovedSpec, cap: Optional[Budget] = None) -> EhrhartRe
     # catch a wrong count: by Ehrhart-Macdonald reciprocity (-1)^d h(-1) counts the
     # interior lattice points, and a full-dimensional 0/1 slice has none, since
     # each of its lattice points lies on a facet of the unit box
+    d_factorial = math.factorial(d)
     at_minus_one = eval_poly(coeffs, -1)
     if at_minus_one != 0:
-        raise InvariantError(f"h(-1) = {_ratio(at_minus_one, math.factorial(d))}, not 0: "
+        raise InvariantError(f"h(-1) = {_ratio(at_minus_one, d_factorial)}, not 0: "
                              "a lattice-point count is wrong")
     if coeffs[d] < 0:
         raise InvariantError(f"normalized volume {coeffs[d]} is negative")
-    return EhrhartRecord(d, evaluations, tuple(coeffs), coeffs[d])
+    return {
+        "dimension": d,
+        "evaluations": evaluations,
+        "coefficients": [_ratio(c, d_factorial) for c in coeffs],
+        "normalized_volume": coeffs[d],
+    }
 
 
 def _piece_memberships(
@@ -263,12 +250,12 @@ def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> tuple[bo
     """
     failures: list[str] = []
     pkn = spec_for_Pkn(k, n, cap=cap)
-    piece = ehrhart_volume(pkn, cap).normalized_volume
+    piece = ehrhart_volume(pkn, cap)["normalized_volume"]
     volumes = [piece] * (n + 1)
 
     N = k * (n + 1)
     hypersimplex = spec_for_hypersimplex(n + 1, N)
-    hyper = ehrhart_volume(hypersimplex, cap).normalized_volume
+    hyper = ehrhart_volume(hypersimplex, cap)["normalized_volume"]
     expected_piece = fuss_eulerian_catalan(k, n)  # A(n, N-1)/(n+1), checked exact
     expected_total = (n + 1) * expected_piece
     # these two checks imply that the pieces sum to the hypersimplex

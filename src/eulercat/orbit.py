@@ -11,41 +11,17 @@ census counts the flaws, the Dyck count drops every word with one.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import Budget, InvariantError
-from .permcore import Permutation, ad_vector, as_permutation, format_permutation
+from .permcore import ad_vector, as_permutation, format_permutation
 from .paths import exceedance, flaw_walk
 
 CASE_N = "n-cyclic-descents"
 CASE_N_PLUS_ONE = "n-plus-one-cyclic-descents"
 
 
-class OrbitCertificate(NamedTuple):
-    """The n+1 cyclic shifts with n descents and their exceedances."""
-
-    base: Permutation
-    case_tag: str
-    shifts: tuple[tuple[int, Permutation], ...]  # (start index, shifted word)
-    exceedances: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": format_permutation(self.base),
-            "case": self.case_tag,
-            "exceedances": list(self.exceedances),
-            "shifts": [
-                {
-                    "start": start,
-                    "permutation": format_permutation(w),
-                    "exceedance": exc,
-                }
-                for (start, w), exc in zip(self.shifts, self.exceedances)
-            ],
-        }
-
-
-def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
+def analyze_orbit(word: Sequence[int]) -> dict:
     """
     Certify the cyclic orbit of w in S_{2n+1} with n descents from its
     cyclic ad-word c, whose letter i is the pair (w_{i+1}, w_{i+2}) and
@@ -53,7 +29,8 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
     at r reads c from letter r-1 round to letter r-2, the pair
     (w_{r-1}, w_r), which it drops; so it has sum(c) - c[r-2] descents and
     is listed iff the dropped letter is the case bit sum(c) > n.  Checks
-    that the listed exceedances are exactly {0..n}.
+    that the listed exceedances are exactly {0..n}, and returns the
+    certificate: the base word, its case, and each listed shift by start.
     """
     w = as_permutation(word)
     m = len(w)
@@ -66,19 +43,26 @@ def analyze_orbit(word: Sequence[int]) -> OrbitCertificate:
         raise ValueError(f"expected {n} descents for m = {m}, got {descents}")
 
     case_bit = int(sum(c) > n)
-    shifts = []
-    exceedances = []
-    for r in range(1, m + 1):
-        if c[r - 2] == case_bit:  # r = 1 drops the wrap letter c[-1]
-            shifts.append((r, w[r - 1:] + w[:r - 1]))
-            exceedances.append(exceedance((c[r - 1:] + c[:r - 1])[:-1]))
-
+    shifts = [
+        {
+            "start": r,
+            "permutation": format_permutation(w[r - 1:] + w[:r - 1]),
+            "exceedance": exceedance((c[r - 1:] + c[:r - 1])[:-1]),
+        }
+        for r in range(1, m + 1)
+        if c[r - 2] == case_bit  # r = 1 drops the wrap letter c[-1]
+    ]
+    exceedances = [s["exceedance"] for s in shifts]
     if sorted(exceedances) != list(range(n + 1)):
         raise InvariantError(
             f"exceedances {exceedances} are not a permutation of 0..{n}"
         )
-    case_tag = CASE_N_PLUS_ONE if case_bit else CASE_N
-    return OrbitCertificate(w, case_tag, tuple(shifts), tuple(exceedances))
+    return {
+        "base": format_permutation(w),
+        "case": CASE_N_PLUS_ONE if case_bit else CASE_N,
+        "exceedances": exceedances,
+        "shifts": shifts,
+    }
 
 
 def equidistribution_census(
@@ -93,7 +77,7 @@ def equidistribution_census(
     return {j: counts.get(j, 0) for j in range(n + 1)}
 
 
-def count_dyck_permutations(n: int, k: int = 2, cap: Optional[Budget] = None) -> int:
+def count_dyck_permutations(n: int, k: int, cap: Optional[Budget] = None) -> int:
     """
     Count of w in S_{kn+k-1} with n descents whose ad-vector is a
     (k-1)-ballot sequence, with no flaw; equals fuss_eulerian_catalan(k, n).

@@ -11,7 +11,7 @@ import itertools
 from collections import Counter
 
 from eulercat.numbers import fuss_eulerian_catalan
-from eulercat.orbit import CASE_N, CASE_N_PLUS_ONE, OrbitCertificate, analyze_orbit
+from eulercat.orbit import CASE_N, CASE_N_PLUS_ONE, analyze_orbit
 from eulercat.permcore import ad_vector, as_permutation
 
 
@@ -51,14 +51,26 @@ def scan_orbit(w):
     The orbit certificate of w in S_{2n+1} with n descents, by scanning
     every shift as a permutation: the case from the cyclic descent count,
     the shifts with n descents in start order, and the paper's East-step
-    exceedance of each.
+    exceedance of each, in the dict that analyze_orbit returns.
     """
     n = (len(w) - 1) // 2
     case = CASE_N_PLUS_ONE if len(cyclic_descent_positions(w)) == n + 1 else CASE_N
     every_shift = ((r, cyclic_shift(w, r)) for r in range(1, len(w) + 1))
-    shifts = tuple((r, s) for r, s in every_shift if descent_count(s) == n)
-    exceedances = tuple(len(exceedance_positions(ad_vector(s))) for _, s in shifts)
-    return OrbitCertificate(tuple(w), case, shifts, exceedances)
+    shifts = [
+        {
+            "start": r,
+            "permutation": " ".join(map(str, s)),
+            "exceedance": len(exceedance_positions(ad_vector(s))),
+        }
+        for r, s in every_shift
+        if descent_count(s) == n
+    ]
+    return {
+        "base": " ".join(map(str, w)),
+        "case": case,
+        "exceedances": [s["exceedance"] for s in shifts],
+        "shifts": shifts,
+    }
 
 
 def is_k_ballot(bits, k):
@@ -125,9 +137,9 @@ def orbit_census(n):
     counts = Counter()
     for w in enumerate_by_descent_count(2 * n + 1, n):
         cert = analyze_orbit(w)
-        # count each orbit once, at its lexicographically least listed shift
-        if w == min(shifted for _, shifted in cert.shifts):
-            for exc in cert.exceedances:
+        # count each orbit once, at its least listed shift as a string
+        if cert["base"] == min(s["permutation"] for s in cert["shifts"]):
+            for exc in cert["exceedances"]:
                 counts[exc] += 1
     return {j: counts.get(j, 0) for j in range(n + 1)}
 

@@ -219,6 +219,6 @@ def test_spec_json_shape():
     record = spec_for_Pkn(2, 2).to_json_dict()
     assert record["ambient_n"] == 6 and record["level_k"] == 3
     assert record["bounds"] == [
-        {"i": 0, "j": 2, "b": None, "c": 1},
-        {"i": 0, "j": 4, "b": None, "c": 2},
+        {"j": 2, "b": None, "c": 1},
+        {"j": 4, "b": None, "c": 2},
     ]

@@ -521,6 +521,30 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
     assert out.startswith("FAIL") and "is interior to piece 0 but also in piece 1" in out
 
 
+def test_probe_on_the_boundary_of_an_overlapping_piece_exits_1(capsys, monkeypatch):
+    # no true probe is interior to one piece and on the boundary of another, so
+    # loosen P_{2,2} to x_1 + x_2 <= 2 and probe one point that is: interior to
+    # piece 0, and in piece 1 with x_3 + x_4 + x_5 + x_6 = 2 on its bound
+    real = geometry.spec_for_Pkn
+
+    def loosened(k, n, flipped=(), cap=None):
+        spec = real(k, n, flipped, cap)
+        first, *rest = spec.bounds
+        return alcoved.AlcovedSpec(spec.ambient_n, spec.level_k,
+                                   (first._replace(upper=first.upper + 1), *rest))
+
+    monkeypatch.setattr(geometry, "spec_for_Pkn", loosened)
+    monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
+                        lambda spec, count, rng, cap=None: [(48, 49, 24, 24, 73, 73)])
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--n", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "piece volume 33 != expected 22",
+        "point (48/97, 49/97, 24/97, 24/97, 73/97, 73/97) is interior to piece 0 "
+        "but also in piece 1",
+    ]
+
+
 def test_uncovered_probe_exits_1(capsys, monkeypatch):
     # every probe point reads as outside every piece
     monkeypatch.setattr(geometry, "_piece_memberships",
@@ -569,6 +593,21 @@ def test_invariant_failure_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: internal invariant failed: h(-1) = -1/6, not 0: "
                    "a lattice-point count is wrong\n")
+
+
+@pytest.mark.parametrize("planted,message", [
+    ({1: 0}, "empty polytope: h(1) = 0"),
+    (dict.fromkeys(range(6), 1),
+     "leading Ehrhart coefficient vanishes: polytope has dimension < 5"),
+], ids=["empty", "flat"])
+def test_empty_or_flat_polytope_from_a_cli_spec_exits_1(capsys, monkeypatch, planted, message):
+    # every spec the CLI builds is full-dimensional and non-empty, so both refusals
+    # are bugs there, not bad arguments
+    real = geometry.count_dilated_lattice_points
+    monkeypatch.setattr(geometry, "count_dilated_lattice_points",
+                        lambda spec, t, cap=None: planted.get(t, real(spec, t, cap)))
+    assert run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "2") == (
+        1, "", f"error: internal invariant failed: {message}\n")
 
 
 def test_wrong_lattice_count_prints_no_volume(capsys, monkeypatch):

@@ -13,7 +13,7 @@ from eulercat.orbit import (
     equidistribution_census,
 )
 from eulercat.paths import is_flaw_step
-from eulercat.permcore import ad_vector, descent_word_walk
+from eulercat.permcore import ad_vector, descent_word_walk, format_permutation
 from oracles import (
     cyclic_shift,
     descent_count,
@@ -30,9 +30,9 @@ from oracles import (
 
 def test_analyze_orbit_example_213():
     cert = analyze_orbit((2, 1, 3))
-    assert cert.case_tag == CASE_N_PLUS_ONE
-    assert set(cert.exceedances) == {0, 1}
-    assert {w for _, w in cert.shifts} == {(2, 1, 3), (1, 3, 2)}
+    assert cert["case"] == CASE_N_PLUS_ONE
+    assert set(cert["exceedances"]) == {0, 1}
+    assert {s["permutation"] for s in cert["shifts"]} == {"2 1 3", "1 3 2"}
 
 
 def test_analyze_orbit_rejects_wrong_inputs():
@@ -51,10 +51,11 @@ def test_analyze_orbit_invariants_exhaustively(n):
     for w in enumerate_by_descent_count(m, n):
         cert = analyze_orbit(w)
         seen += 1
-        assert sorted(cert.exceedances) == list(range(n + 1))
+        assert sorted(cert["exceedances"]) == list(range(n + 1))
         every_shift = [(r, cyclic_shift(w, r)) for r in range(1, m + 1)]
-        assert cert.shifts == tuple((r, s) for r, s in every_shift if descent_count(s) == n)
-        assert cert.case_tag in (CASE_N, CASE_N_PLUS_ONE)
+        assert [(s["start"], s["permutation"]) for s in cert["shifts"]] == \
+            [(r, format_permutation(s)) for r, s in every_shift if descent_count(s) == n]
+        assert cert["case"] in (CASE_N, CASE_N_PLUS_ONE)
     assert seen == eulerian(n, m)
 
 
@@ -86,9 +87,10 @@ def test_analyze_orbit_matches_the_shift_scan(w):
 def test_orbit_is_well_defined_across_listed_shifts(n):
     for w in enumerate_by_descent_count(2 * n + 1, n):
         cert = analyze_orbit(w)
-        listed = {s for _, s in cert.shifts}
-        for _, shift in cert.shifts:
-            assert {s for _, s in analyze_orbit(shift).shifts} == listed
+        listed = {s["permutation"] for s in cert["shifts"]}
+        for shift in listed:
+            again = analyze_orbit([int(v) for v in shift.split()])
+            assert {s["permutation"] for s in again["shifts"]} == listed
 
 
 def test_equidistribution_census_examples():

@@ -5,6 +5,7 @@ from pathlib import Path
 import eulercat
 
 SOURCES = sorted(Path(eulercat.__file__).parent.glob("*.py"))
+BENCH_RUNNER = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 def _raises_assertion_error(node):
@@ -77,3 +78,35 @@ def test_scale_cap_error_is_raised_in_one_place():
         and "ScaleCapError" in set(_names(node.exc))
     ]
     assert len(raised) == 1 and raised[0].startswith("errors.py:")
+
+
+def _traced_names(tree):
+    """The functions the bench runner sums per layer: every name in FUNCTION_METRICS,
+    and each literal tuple of names it passes to absent(), the nested pair included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "FUNCTION_METRICS"
+                for target in node.targets):
+            for _, functions, _ in ast.literal_eval(node.value):
+                names.update(functions)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "absent" and isinstance(node.args[1], ast.Tuple)):
+            names.update(ast.literal_eval(node.args[1]))
+    return names
+
+
+def test_every_traced_function_is_defined():
+    # the per-layer trace wraps functions by name, and a name that is gone only
+    # shows as a missing metric, so a rename must fail here.  cli.parse_args is
+    # the parser's own method, which the traced CLI wraps
+    traced = _traced_names(ast.parse(BENCH_RUNNER.read_text(), filename=str(BENCH_RUNNER)))
+    assert {"orbit.analyze_orbit", "geometry.verify_subdivision",
+            "geometry.ehrhart_volume", "cli.parse_args"} <= traced
+    defined = {
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted(traced - defined - {"cli.parse_args"}) == []
