@@ -295,10 +295,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.cap = None if args.force else Budget()  # the one budget every engine call charges
     # an answer may have any number of digits; argv was read under the limit
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    limit = sys.get_int_max_str_digits()
     try:
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         code, text = args.run(args)
         _write_stdout(text)
         return code
@@ -318,8 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -87,7 +88,8 @@ def test_spec_validation():
     # a bound names a prefix x_1 + ... + x_j with 1 <= j < ambient_n; j = ambient_n
     # would restate the level, so it is refused rather than read one off
     for j in (-1, 0, 4, 5):
-        with pytest.raises(ValueError, match="out of range"):
+        message = f"bound index out of range 1..3: Bound(j={j}, lower=None, upper=1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(j, upper=1),))
     with pytest.raises(ValueError):
         AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, lower=2, upper=1),))

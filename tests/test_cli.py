@@ -290,6 +290,7 @@ def test_benchmark_commands_pass_the_cap(capsys, argv):
     (("eulerian-row", "--n", "0"), "error: n must be >= 1\n"),
     (("ec", "--max-n", "-1"), "error: max_n must be >= 0\n"),
     (("catalan", "--max-n", "-1"), "error: max_n must be >= 0\n"),
+    (("fuss", "--k", "2", "--n", "-1"), "error: n must be >= 0\n"),
 ])
 def test_numbers_commands_refuse_out_of_range(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
@@ -453,9 +454,16 @@ def test_verify_reads_k_on_every_target(capsys, target, k, n):
         assert sum(e["census"] for e in report["entries"].values()) == eulerian(n, k * n + k - 1)
 
 
-@pytest.mark.parametrize("target", ["equidistribution", "census-vs-volumes"])
-def test_verify_refuses_k_below_2(capsys, target):
-    assert run_cli(capsys, "verify", target, "--k", "1", "--n", "2") == \
+@pytest.mark.parametrize("argv", [
+    # the flaw walk refuses k < 2 for the first two, spec_for_Pkn for the rest
+    pytest.param(("verify", "equidistribution"), id="equidistribution"),
+    pytest.param(("verify", "census-vs-volumes"), id="census-vs-volumes"),
+    pytest.param(("verify", "subdivision"), id="subdivision"),
+    pytest.param(("verify", "alcoved-vs-dyck"), id="alcoved-vs-dyck"),
+    pytest.param(("volume", "--shape", "pkn"), id="volume-pkn"),
+])
+def test_verify_refuses_k_below_2(capsys, argv):
+    assert run_cli(capsys, *argv, "--k", "1", "--n", "2") == \
         (2, "", "error: k must be >= 2\n")
 
 

@@ -87,6 +87,8 @@ def test_count_dilated_trivial_cases():
     for t in range(6):
         assert count_dilated_lattice_points(segment, t) == t + 1
     assert count_dilated_lattice_points(spec_for_Pkn(2, 2), 0) == 1
+    with pytest.raises(ValueError, match=r"^dilation factor must be >= 0$"):
+        count_dilated_lattice_points(segment, -1)
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,8 @@ def test_fuss_rejects_small_k():
 
 
 def test_catalan_values_against_path_enumeration():
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        catalan(-1)
     assert catalan(0) == 1
     # C(n) counts the diagonal paths with exceedance 0
 
@@ -153,12 +155,16 @@ def test_answers_of_any_size_print(capsys):
     assert value == closed_form_eulerian(2, 14999) // 3
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                    reason="no int-to-str digit limit")
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="int-to-str digit limit switched off")
 def test_argv_keeps_the_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
-    assert main(["fuss", "--k", "3", "--n", "1"]) == 0
-    assert sys.get_int_max_str_digits() == limit  # the caller's limit comes back
+    # the caller's limit comes back after success, bad arguments and a cap refusal
+    for argv, code in [(["fuss", "--k", "3", "--n", "1"], 0),
+                       (["ec", "--max-n", "-1"], 2),
+                       (["census", "--n", "31"], 3)]:
+        assert main(argv) == code
+        assert sys.get_int_max_str_digits() == limit
     with pytest.raises(SystemExit) as exc:
         main(["catalan", "--max-n", "-1" + "0" * 5000])
     assert exc.value.code == 2
