@@ -13,14 +13,11 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import numbers
 from .errors import (WORK_CAP, Budget, DegenerateDimensionError, InvariantError,
                      ScaleCapError)
-
-if TYPE_CHECKING:
-    from .alcoved import AlcovedSpec
 
 # Each handler imports the modules it runs, so a process loads only what its
 # subcommand needs: start-up is a large share of every short command.
@@ -114,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--flip",
-                   help="comma-separated flip set T for --shape p2n, e.g. 1,2")
+                   help="comma-separated flip set T of P_{k,n}(T) for --shape pkn or p2n, "
+                        "e.g. 1,2")
 
     p = command("verify", _cmd_verify, "run a cross-verification identity", REPORT,
                 capped=True)
@@ -189,26 +187,22 @@ def _parse_flip(text: str) -> frozenset[int]:
         raise ValueError(f"cannot parse flip set {text!r}") from exc
 
 
-def _volume_spec(args) -> AlcovedSpec:
-    from . import alcoved
+def _cmd_volume(args) -> tuple[int, str]:
+    from . import alcoved, geometry
 
-    if args.shape == "p2n":
-        if args.k is not None:
+    k = args.k
+    if args.shape == "p2n":  # a second spelling of pkn at k = 2
+        if k is not None:
             raise ValueError("--k does not apply to --shape p2n (k is 2)")
-        return alcoved.spec_for_Pkn(2, args.n, _parse_flip(args.flip or ""), args.cap)
-    if args.flip is not None:
-        raise ValueError(f"--flip applies only to --shape p2n, not {args.shape}")
-    if args.k is None:
+        k = 2
+    if args.shape == "hypersimplex" and args.flip is not None:
+        raise ValueError("--flip does not apply to --shape hypersimplex")
+    if k is None:
         raise ValueError(f"--k is required for --shape {args.shape}")
     if args.shape == "hypersimplex":
-        return alcoved.spec_for_hypersimplex(args.k, args.n)
-    return alcoved.spec_for_Pkn(args.k, args.n, cap=args.cap)
-
-
-def _cmd_volume(args) -> tuple[int, str]:
-    from . import geometry
-
-    spec = _volume_spec(args)
+        spec = alcoved.spec_for_hypersimplex(k, args.n)
+    else:
+        spec = alcoved.spec_for_Pkn(k, args.n, _parse_flip(args.flip or ""), args.cap)
     ehrhart = geometry.ehrhart_volume(spec, args.cap)
     if args.format == "json":
         return EXIT_OK, render_json({"spec": spec.to_json_dict(), "ehrhart": ehrhart})

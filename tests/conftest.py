@@ -25,8 +25,3 @@ def brute_descent_census(m):
 def permutations_st(draw, min_m=1, max_m=7):
     m = draw(st.integers(min_m, max_m))
     return tuple(draw(st.permutations(tuple(range(1, m + 1)))))
-
-
-@pytest.fixture
-def small_perms():
-    return perms_of

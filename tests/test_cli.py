@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from eulercat import alcoved, geometry, numbers, orbit
-from eulercat.cli import _volume_spec, build_parser, main
+from eulercat.cli import build_parser, main
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from oracles import eulerian_catalan
 
@@ -139,17 +139,29 @@ def test_volume_json(capsys):
 
 
 def test_p2n_is_pkn_at_k_2(capsys):
-    # --shape p2n --flip T builds P_{2,n}(T), and with no --flip prints what pkn --k 2 does
-    parser = build_parser()
-    for n in range(1, 5):
-        for flipped in alcoved.all_subsets(n):
-            args = parser.parse_args(["volume", "--shape", "p2n", "--n", str(n),
-                                      "--flip", ",".join(map(str, flipped))])
-            args.cap = None
-            assert _volume_spec(args) == alcoved.spec_for_Pkn(2, n, flipped)
-    outs = [run_cli(capsys, "volume", "--shape", *shape, "--n", "3", "--format", "json")
-            for shape in (("p2n",), ("pkn", "--k", "2"))]
-    assert outs[0] == outs[1] and outs[0][0] == 0
+    # --shape p2n prints what pkn --k 2 does, with every --flip T and with none
+    for n in range(1, 4):
+        for flip in [(), *(("--flip", ",".join(map(str, T))) for T in alcoved.all_subsets(n))]:
+            outs = [run_cli(capsys, "volume", "--shape", *shape, "--n", str(n), *flip,
+                            "--format", "json")
+                    for shape in (("p2n",), ("pkn", "--k", "2"))]
+            assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_pkn_flip_volume_is_its_flaw_set_count(capsys, k, n):
+    # the flaw walk counts the W-set of P_{k,n}(T); it shares nothing with the Ehrhart DP
+    census = alcoved.exceedance_position_census(n, k)
+    volumes = {}
+    for T in census:
+        code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", str(k),
+                               "--n", str(n), "--flip", ",".join(map(str, T)),
+                               "--format", "json")
+        assert code == 0
+        volumes[T] = json.loads(out)["ehrhart"]["normalized_volume"]
+    assert volumes == census
+    if (k, n) == (3, 2):
+        assert volumes == {(): 1431, (1,): 672, (2,): 759, (1, 2): 1431}
 
 
 @pytest.mark.parametrize("n,flip,message", [
@@ -159,8 +171,9 @@ def test_p2n_is_pkn_at_k_2(capsys):
     ("2", "1,x", "cannot parse flip set '1,x'"),
 ])
 def test_volume_refuses_bad_p2n_slices(capsys, n, flip, message):
-    code, out, err = run_cli(capsys, "volume", "--shape", "p2n", "--n", n, "--flip", flip)
-    assert code == 2 and out == "" and err == f"error: {message}\n"
+    for shape in (("p2n",), ("pkn", "--k", "3")):
+        code, out, err = run_cli(capsys, "volume", "--shape", *shape, "--n", n, "--flip", flip)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_volume_requires_k_for_pkn(capsys):
@@ -169,8 +182,6 @@ def test_volume_requires_k_for_pkn(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (("--shape", "pkn", "--k", "2", "--n", "2", "--flip", "1"), "--flip"),
-    (("--shape", "pkn", "--k", "2", "--n", "2", "--flip", ""), "--flip"),
     (("--shape", "hypersimplex", "--k", "2", "--n", "4", "--flip", "1"), "--flip"),
     (("--shape", "p2n", "--k", "2", "--n", "2"), "--k"),
     (("--shape", "p2n", "--k", "3", "--n", "2", "--flip", "1"), "--k"),
