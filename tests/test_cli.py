@@ -182,9 +182,11 @@ def test_volume_requires_k_for_pkn(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (("--shape", "hypersimplex", "--k", "2", "--n", "4", "--flip", "1"), "--flip"),
-    (("--shape", "p2n", "--k", "2", "--n", "2"), "--k"),
-    (("--shape", "p2n", "--k", "3", "--n", "2", "--flip", "1"), "--k"),
+    pytest.param(("--shape", "hypersimplex", "--k", "2", "--n", "4", "--flip", "1"), "--flip",
+                 id="argv2---flip"),
+    pytest.param(("--shape", "p2n", "--k", "2", "--n", "2"), "--k", id="argv3---k"),
+    pytest.param(("--shape", "p2n", "--k", "3", "--n", "2", "--flip", "1"), "--k",
+                 id="argv4---k"),
 ])
 def test_volume_refuses_flags_its_shape_ignores(capsys, argv, flag):
     code, out, err = run_cli(capsys, "volume", *argv)
