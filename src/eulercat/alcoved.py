@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import Budget
+from .errors import charge
 
 
 class Bound(NamedTuple):
@@ -68,14 +68,12 @@ def spec_for_hypersimplex(k: int, n: int) -> AlcovedSpec:
     return AlcovedSpec(ambient_n=n, level_k=k)
 
 
-def spec_for_Pkn(
-    k: int, n: int, flipped: Iterable[int] = (), cap: Optional[Budget] = None
-) -> AlcovedSpec:
+def spec_for_Pkn(k: int, n: int, flipped: Iterable[int] = ()) -> AlcovedSpec:
     """
     P_{k,n}(T): Delta(n+1, k(n+1)) cut by x_1 + ... + x_{kt} >= t for t in T,
     <= t for the other t in 1..n.  Its W-set: the t-th descent is a flaw
     exactly for t in T, so P_{k,n} = P_{k,n}({}) counts (k-1)-Dyck permutations.
-    Charges cap (None: no limit) one cell per bound before building any.
+    Charges the command's budget one cell per bound before building any.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -84,8 +82,7 @@ def spec_for_Pkn(
         raise ValueError(f"flip set {sorted(T)} not a subset of 1..{n}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cap is not None:
-        cap.charge(n)
+    charge(n)
     prefix = tuple(
         Bound(k * t, lower=t) if t in T else Bound(k * t, upper=t)
         for t in range(1, n + 1)
@@ -93,7 +90,7 @@ def spec_for_Pkn(
     return AlcovedSpec(ambient_n=k * (n + 1), level_k=n + 1, bounds=prefix)
 
 
-def w_set_count(spec: AlcovedSpec, cap: Optional[Budget] = None) -> int:
+def w_set_count(spec: AlcovedSpec) -> int:
     """
     |W(k, n, b, c)|: permutations of [ambient_n - 1] with level_k - 1
     descents meeting every bound condition.  Equals the normalized
@@ -117,7 +114,7 @@ def w_set_count(spec: AlcovedSpec, cap: Optional[Budget] = None) -> int:
     def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
         return key if admits(x + y + 1, y + letter) else None
 
-    counts = descent_word_walk(spec.ambient_n - 1, spec.level_k - 1, step, cap)
+    counts = descent_word_walk(spec.ambient_n - 1, spec.level_k - 1, step)
     # bounds with j = 1 hold before the first letter, at y = 0
     return sum(counts.values()) if admits(0, 0) else 0
 
@@ -134,9 +131,7 @@ def subset_key(T: Iterable[int]) -> str:
     return "{" + ",".join(str(t) for t in items) + "}"
 
 
-def exceedance_position_census(
-    n: int, k: int = 2, cap: Optional[Budget] = None
-) -> dict[tuple[int, ...], int]:
+def exceedance_position_census(n: int, k: int = 2) -> dict[tuple[int, ...], int]:
     """
     For each T subset of {1..n}: count w in S_{kn+k-1} with n descents
     whose path has its flaws exactly in the rows {t-1 : t in T} (at k = 2,
@@ -145,5 +140,5 @@ def exceedance_position_census(
     """
     from .paths import flaw_walk
 
-    counts = flaw_walk(k, n, lambda mask, y: mask | 1 << y, cap)
+    counts = flaw_walk(k, n, lambda mask, y: mask | 1 << y)
     return {T: counts.get(sum(1 << (t - 1) for t in T), 0) for T in all_subsets(n)}

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import numbers
+from . import errors, numbers
 from .errors import (WORK_CAP, Budget, DegenerateDimensionError, InvariantError,
                      ScaleCapError)
 
@@ -148,7 +148,7 @@ def _cmd_catalan(args) -> tuple[int, str]:
 def _cmd_dyck_count(args) -> tuple[int, str]:
     from . import orbit
 
-    count = orbit.count_dyck_permutations(args.n, args.k, args.cap)
+    count = orbit.count_dyck_permutations(args.n, args.k)
     rows = [[args.n, args.k, count]]
     return EXIT_OK, render_table(["n", "k", "count"], rows, args.format)
 
@@ -157,12 +157,12 @@ def _cmd_census(args) -> tuple[int, str]:
     if args.by_position:
         from . import alcoved
 
-        census = alcoved.exceedance_position_census(args.n, cap=args.cap)
+        census = alcoved.exceedance_position_census(args.n)
         rows = [[alcoved.subset_key(T), count] for T, count in census.items()]
         return EXIT_OK, render_table(["positions", "count"], rows, args.format)
     from . import orbit
 
-    census = orbit.equidistribution_census(args.n, cap=args.cap)
+    census = orbit.equidistribution_census(args.n)
     rows = [[j, count] for j, count in sorted(census.items())]
     return EXIT_OK, render_table(["exceedance", "count"], rows, args.format)
 
@@ -202,8 +202,8 @@ def _cmd_volume(args) -> tuple[int, str]:
     if args.shape == "hypersimplex":
         spec = alcoved.spec_for_hypersimplex(k, args.n)
     else:
-        spec = alcoved.spec_for_Pkn(k, args.n, _parse_flip(args.flip or ""), args.cap)
-    ehrhart = geometry.ehrhart_volume(spec, args.cap)
+        spec = alcoved.spec_for_Pkn(k, args.n, _parse_flip(args.flip or ""))
+    ehrhart = geometry.ehrhart_volume(spec)
     if args.format == "json":
         return EXIT_OK, render_json({"spec": spec.to_json_dict(), "ehrhart": ehrhart})
     rows = [[args.shape, ehrhart["dimension"], ehrhart["normalized_volume"]]]
@@ -213,7 +213,7 @@ def _cmd_volume(args) -> tuple[int, str]:
 def _verify_equidistribution(args) -> tuple[bool, dict]:
     from . import orbit
 
-    census = orbit.equidistribution_census(args.n, args.k, args.cap)
+    census = orbit.equidistribution_census(args.n, args.k)
     expected = numbers.fuss_eulerian_catalan(args.k, args.n)
     ok = all(count == expected for count in census.values())
     return ok, {"census": {str(j): c for j, c in sorted(census.items())}, "expected": expected}
@@ -222,15 +222,15 @@ def _verify_equidistribution(args) -> tuple[bool, dict]:
 def _verify_subdivision(args) -> tuple[bool, dict]:
     from . import geometry
 
-    return geometry.verify_subdivision(args.k, args.n, cap=args.cap)
+    return geometry.verify_subdivision(args.k, args.n)
 
 
 def _verify_alcoved_vs_dyck(args) -> tuple[bool, dict]:
     from . import alcoved, orbit
 
-    spec = alcoved.spec_for_Pkn(args.k, args.n, cap=args.cap)
-    via_paths = orbit.count_dyck_permutations(args.n, args.k, cap=args.cap)
-    via_alcoves = alcoved.w_set_count(spec, cap=args.cap)
+    spec = alcoved.spec_for_Pkn(args.k, args.n)
+    via_paths = orbit.count_dyck_permutations(args.n, args.k)
+    via_alcoves = alcoved.w_set_count(spec)
     return via_alcoves == via_paths, {"alcoved_count": via_alcoves, "dyck_count": via_paths}
 
 
@@ -239,12 +239,12 @@ def _verify_census_vs_volumes(args) -> tuple[bool, dict]:
 
     if args.n < 1:
         raise ValueError("n must be >= 1")  # P_{k,0}(T) is no polytope
-    census = alcoved.exceedance_position_census(args.n, args.k, args.cap)
+    census = alcoved.exceedance_position_census(args.n, args.k)
     entries = {}
     mismatches = []
     for T, count in census.items():
-        spec = alcoved.spec_for_Pkn(args.k, args.n, T, args.cap)
-        volume = geometry.ehrhart_volume(spec, cap=args.cap)["normalized_volume"]
+        spec = alcoved.spec_for_Pkn(args.k, args.n, T)
+        volume = geometry.ehrhart_volume(spec)["normalized_volume"]
         entries[alcoved.subset_key(T)] = {"census": count, "volume": volume}
         if count != volume:
             mismatches.append(alcoved.subset_key(T))
@@ -287,10 +287,11 @@ def _write_stdout(text: str) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.cap = None if args.force else Budget()  # the one budget every engine call charges
-    # an answer may have any number of digits; argv was read under the limit
-    limit = sys.get_int_max_str_digits()
+    # both settings last one command: an answer may have any number of digits (argv was
+    # read under the limit), and every engine call of the command charges one budget
+    limit, budget = sys.get_int_max_str_digits(), errors.budget
     try:
+        errors.budget = None if args.force else Budget()
         sys.set_int_max_str_digits(0)
         code, text = args.run(args)
         _write_stdout(text)
@@ -312,6 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_ARGS
     finally:
         sys.set_int_max_str_digits(limit)
+        errors.budget = budget
 
 
 if __name__ == "__main__":

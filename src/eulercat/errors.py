@@ -28,6 +28,17 @@ class Budget:
             raise ScaleCapError(f"the work passes the cap of {WORK_CAP} cells")
 
 
+# the running command's budget, which cli.main sets and restores: None outside a command,
+# under --force and for an uncapped command, so a library call runs uncapped unless set
+budget: Budget | None = None
+
+
+def charge(cells: int) -> None:
+    """Charge the running command's budget, if it has one: every engine fills cells here."""
+    if budget is not None:
+        budget.charge(cells)
+
+
 class InvariantError(Exception):
     """An internal invariant failed: a bug in the package, not bad input."""
 

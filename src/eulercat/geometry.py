@@ -24,10 +24,10 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
-from .errors import Budget, DegenerateDimensionError, InvariantError
+from .errors import DegenerateDimensionError, InvariantError, charge
 from .numbers import fuss_eulerian_catalan
 
 if TYPE_CHECKING:
@@ -38,19 +38,16 @@ PROBE_SEED = 271828
 PROBE_DENOMINATOR = 97
 
 
-def _windows(
-    spec: AlcovedSpec, t: int, cap: Optional[Budget] = None
-) -> list[tuple[int, int]]:
+def _windows(spec: AlcovedSpec, t: int) -> list[tuple[int, int]]:
     """
     The band [lo_i, hi_i] of prefix sums x_1 + ... + x_i, i = 0..N, that lie
     on some lattice point of the t-fold dilate.  A forward pass keeps the
     sums reachable from 0 in steps of 0..t within every bound, a backward
     pass those that can still reach t * level_k.  An empty dilate shows as
-    a crossed window, lo_i > hi_i.  Charges cap (None: no limit) with the
+    a crossed window, lo_i > hi_i.  Charges the command's budget with the
     window widths: one cell per window before building them, the rest after.
     """
-    if cap is not None:
-        cap.charge(spec.ambient_n + 1)
+    charge(spec.ambient_n + 1)
     target = t * spec.level_k
     clamps = [(0, target)] * spec.ambient_n + [(target, target)]
     for bd in spec.bounds:
@@ -67,8 +64,7 @@ def _windows(
     for i in range(spec.ambient_n - 1, -1, -1):
         (lo, hi), (nlo, nhi) = windows[i], windows[i + 1]
         windows[i] = (max(lo, nlo - t), min(hi, nhi))
-    if cap is not None:
-        cap.charge(sum(max(hi - lo, 0) for lo, hi in windows))
+    charge(sum(max(hi - lo, 0) for lo, hi in windows))
     return windows
 
 
@@ -91,17 +87,15 @@ def _prefix_tables(
         row = list(map(operator.sub, prefix[t + 1 :], prefix))
 
 
-def count_dilated_lattice_points(
-    spec: AlcovedSpec, t: int, cap: Optional[Budget] = None
-) -> int:
+def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
     """
     Number of integer points of the t-fold dilate: 0 <= x_i <= t,
-    sum x_i = t * level_k, prefix sums within t-scaled bounds.  Charges cap
-    (None: no limit) with the DP's cells before the DP runs.
+    sum x_i = t * level_k, prefix sums within t-scaled bounds.  Charges the
+    command's budget with the DP's cells before the DP runs.
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    windows = _windows(spec, t, cap)
+    windows = _windows(spec, t)
     if any(lo > hi for lo, hi in windows):
         return 0
     for _, prefix in _prefix_tables(windows, t):
@@ -144,7 +138,7 @@ def _ratio(numerator: int, denominator: int) -> str:
     return f"{numerator // g}/{denominator // g}"
 
 
-def ehrhart_volume(spec: AlcovedSpec, cap: Optional[Budget] = None) -> dict:
+def ehrhart_volume(spec: AlcovedSpec) -> dict:
     """
     Evaluate the lattice-point count at t = 0..d, interpolate d! times the
     Ehrhart polynomial and check it at t = -1.  Returns the dimension d, the
@@ -152,7 +146,7 @@ def ehrhart_volume(spec: AlcovedSpec, cap: Optional[Budget] = None) -> dict:
     its leading coefficient times d!, the normalized volume.
     """
     d = spec.ambient_n - 1
-    evaluations = [count_dilated_lattice_points(spec, t, cap) for t in range(d + 1)]
+    evaluations = [count_dilated_lattice_points(spec, t) for t in range(d + 1)]
     # integer bounds make the polytope a lattice polytope: if nonempty, its
     # vertices are lattice points of the undilated copy (t = 1)
     if evaluations[1] < 1:
@@ -206,17 +200,17 @@ def _piece_memberships(
 
 
 def _sample_hypersimplex_points(
-    spec: AlcovedSpec, count: int, rng: random.Random, cap: Optional[Budget] = None
+    spec: AlcovedSpec, count: int, rng: random.Random
 ) -> list[tuple[int, ...]]:
     """
     Numerators of count exactly uniform lattice points of PROBE_DENOMINATOR
     times spec.  The lattice-count DP of the dilate keeps each step's prefix
     table; walking back from the full sum, each coordinate is drawn by
-    inverse CDF, one randrange and one bisect per coordinate.  Charges cap
-    with the DP's cells, as count_dilated_lattice_points does.
+    inverse CDF, one randrange and one bisect per coordinate.  Charges the
+    command's budget with the DP's cells, as count_dilated_lattice_points does.
     """
     t = PROBE_DENOMINATOR
-    tables = list(_prefix_tables(_windows(spec, t, cap), t))
+    tables = list(_prefix_tables(_windows(spec, t), t))
     tables.reverse()
     points = []
     for _ in range(count):
@@ -239,7 +233,7 @@ def _probe_point(numerators: Sequence[int]) -> str:
     return "(" + ", ".join(_ratio(c, PROBE_DENOMINATOR) for c in numerators) + ")"
 
 
-def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> tuple[bool, dict]:
+def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     """
     Check that n+1 copies of P_{k,n} fill the hypersimplex volume and
     probe random rational points for coverage and disjoint interiors.
@@ -249,13 +243,13 @@ def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> tuple[bo
     Returns (ok, what was measured).
     """
     failures: list[str] = []
-    pkn = spec_for_Pkn(k, n, cap=cap)
-    piece = ehrhart_volume(pkn, cap)["normalized_volume"]
+    pkn = spec_for_Pkn(k, n)
+    piece = ehrhart_volume(pkn)["normalized_volume"]
     volumes = [piece] * (n + 1)
 
     N = k * (n + 1)
     hypersimplex = spec_for_hypersimplex(n + 1, N)
-    hyper = ehrhart_volume(hypersimplex, cap)["normalized_volume"]
+    hyper = ehrhart_volume(hypersimplex)["normalized_volume"]
     expected_piece = fuss_eulerian_catalan(k, n)  # A(n, N-1)/(n+1), checked exact
     expected_total = (n + 1) * expected_piece
     # these two checks imply that the pieces sum to the hypersimplex
@@ -266,9 +260,7 @@ def verify_subdivision(k: int, n: int, cap: Optional[Budget] = None) -> tuple[bo
 
     import random
 
-    points = _sample_hypersimplex_points(
-        hypersimplex, PROBE_SAMPLES, random.Random(PROBE_SEED), cap
-    )
+    points = _sample_hypersimplex_points(hypersimplex, PROBE_SAMPLES, random.Random(PROBE_SEED))
     interior_hits = [0] * (n + 1)
     for numerators in points:
         member, interior = _piece_memberships(pkn, k, numerators)

@@ -11,9 +11,9 @@ census counts the flaws, the Dyck count drops every word with one.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import Budget, InvariantError
+from .errors import InvariantError
 from .permcore import ad_vector, as_permutation, format_permutation
 from .paths import exceedance, flaw_walk
 
@@ -65,21 +65,19 @@ def analyze_orbit(word: Sequence[int]) -> dict:
     }
 
 
-def equidistribution_census(
-    n: int, k: int = 2, cap: Optional[Budget] = None
-) -> dict[int, int]:
+def equidistribution_census(n: int, k: int = 2) -> dict[int, int]:
     """
     Census of w in S_{kn+k-1} with n descents by the flaws of their paths
     (at k = 2, exc(L(w))): the walk keys each ad-word by its flaws so far.
     Every bucket j = 0..n holds the same count, fuss_eulerian_catalan(k, n).
     """
-    counts = flaw_walk(k, n, lambda flaws, y: flaws + 1, cap)
+    counts = flaw_walk(k, n, lambda flaws, y: flaws + 1)
     return {j: counts.get(j, 0) for j in range(n + 1)}
 
 
-def count_dyck_permutations(n: int, k: int, cap: Optional[Budget] = None) -> int:
+def count_dyck_permutations(n: int, k: int) -> int:
     """
     Count of w in S_{kn+k-1} with n descents whose ad-vector is a
     (k-1)-ballot sequence, with no flaw; equals fuss_eulerian_catalan(k, n).
     """
-    return sum(flaw_walk(k, n, lambda key, y: None, cap).values())
+    return sum(flaw_walk(k, n, lambda key, y: None).values())

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .errors import Budget
 from .permcore import descent_word_walk
 
 
@@ -24,13 +23,13 @@ def is_flaw_step(x: int, y: int, letter: int, k: int) -> bool:
 
 
 def flaw_walk(
-    k: int, n: int, on_flaw: Callable[[int, int], Optional[int]], cap: Optional[Budget] = None
+    k: int, n: int, on_flaw: Callable[[int, int], Optional[int]]
 ) -> dict[int, int]:
     """
     {final key: permutations of S_{kn+k-1} with n descents whose ad-word ends
     with that key}.  Every step keeps the key, except a flaw out of row y,
-    which makes it on_flaw(key, y); None drops the word.  Charges cap as
-    permcore.descent_word_walk does.
+    which makes it on_flaw(key, y); None drops the word.  Charges the
+    command's budget as permcore.descent_word_walk does.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -40,7 +39,7 @@ def flaw_walk(
     def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
         return on_flaw(key, y) if is_flaw_step(x, y, letter, k) else key
 
-    return descent_word_walk(k * n + k - 1, n, step, cap)
+    return descent_word_walk(k * n + k - 1, n, step)
 
 
 def exceedance(word: Sequence[int]) -> int:

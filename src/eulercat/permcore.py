@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional, Sequence
 
-from .errors import Budget
+from .errors import charge
 
 Permutation = tuple[int, ...]
 
@@ -42,10 +42,7 @@ def ad_vector(w: Sequence[int]) -> tuple[int, ...]:
 
 
 def descent_word_walk(
-    m: int,
-    d: int,
-    step: Callable[[int, int, int, int], Optional[int]],
-    cap: Optional[Budget] = None,
+    m: int, d: int, step: Callable[[int, int, int, int], Optional[int]]
 ) -> dict[int, int]:
     """
     {final key: permutations of [m] with d descents whose ad-word ends with
@@ -55,7 +52,8 @@ def descent_word_walk(
     to drop the word.  Each state holds one row of the rank recurrence
     (Stanley, EC1 section 1.4), and words that reach the same state add
     their rows, so no word is ever listed.  Empty when d is out of range.
-    Each letter charges cap (None: no limit) with the cells of its rows.
+    Each letter charges the command's budget (errors.charge) with the cells
+    of its rows.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -81,8 +79,7 @@ def descent_word_walk(
                     nrow if seen is None else [a + b for a, b in zip(seen, nrow)]
                 )
         states = following
-        if cap is not None:
-            cap.charge((letters + 2) * len(states))
+        charge((letters + 2) * len(states))
     return {key: sum(row) for (_, key), row in states.items()}
 
 

@@ -15,6 +15,7 @@ from eulercat.alcoved import (
     subset_key,
     w_set_count,
 )
+from eulercat import errors
 from eulercat.errors import WORK_CAP, Budget, ScaleCapError
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from eulercat.orbit import count_dyck_permutations
@@ -167,15 +168,17 @@ def test_w_set_walk_matches_value_based_brute_count_in_s8(spec):
     assert w_set_count(spec) == brute_w_set_count(spec)
 
 
-def test_w_set_count_scale_cap():
+def test_w_set_count_scale_cap(monkeypatch):
     # the W-set walk of P_{2,8} and the Dyck walk at (2, 8) fill 404 cells each, and
-    # one budget is charged by both
+    # one budget is charged by both; the spec's 8 bounds are built before it is set
+    spec = spec_for_Pkn(2, 8)
     budget = Budget()
     budget.charge(WORK_CAP - 2 * 404)
-    assert w_set_count(spec_for_Pkn(2, 8), budget) == count_dyck_permutations(8, 2, budget)
+    monkeypatch.setattr(errors, "budget", budget)
+    assert w_set_count(spec) == count_dyck_permutations(8, 2)
     assert budget.filled == WORK_CAP
     with pytest.raises(ScaleCapError):
-        w_set_count(spec_for_Pkn(2, 8), budget)
+        w_set_count(spec)
 
 
 def test_exceedance_position_census_examples():
@@ -196,8 +199,8 @@ def test_position_census_walk_matches_brute_force(n):
 
 
 def test_uncapped_walks_match_the_numbers():
-    assert w_set_count(spec_for_Pkn(2, 50), cap=None) == eulerian_catalan(50)
-    assert sum(exceedance_position_census(10, cap=None).values()) == eulerian(10, 21)
+    assert w_set_count(spec_for_Pkn(2, 50)) == eulerian_catalan(50)
+    assert sum(exceedance_position_census(10).values()) == eulerian(10, 21)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

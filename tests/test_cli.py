@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from eulercat import alcoved, geometry, numbers, orbit
+from eulercat import alcoved, errors, geometry, numbers, orbit
 from eulercat.cli import build_parser, main
+from eulercat.errors import WORK_CAP, Budget
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from oracles import eulerian_catalan
 
@@ -227,6 +228,40 @@ def test_one_budget_per_command(capsys):
     code, out, err = run_cli(capsys, "verify", "census-vs-volumes", "--n", "8")
     assert code == 3 and out == ""
     assert err == CAP_REFUSAL
+
+
+def test_each_command_has_a_fresh_budget(capsys):
+    # census --n 30 fills 399,775 cells, so a budget left over from the first run
+    # would refuse the second
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "census", "--n", "30", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [f"{j},{eulerian_catalan(30)}" for j in range(31)]
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["none", "planted"])
+def test_main_gives_back_the_callers_budget(capsys, monkeypatch, planted):
+    # the budget lasts one command: after every exit the caller's value is back, and a
+    # caller's full budget is neither read nor charged by the command
+    callers = None
+    if planted:
+        callers = Budget()
+        callers.charge(WORK_CAP)
+    monkeypatch.setattr(errors, "budget", callers)
+    monkeypatch.setattr(geometry, "eval_poly", lambda coeffs, x: -1)  # volume exits 1
+    for argv, code in [(["census", "--n", "2"], 0),
+                       (["dyck-count", "--n", "2", "--force"], 0),
+                       (["volume", "--shape", "pkn", "--k", "2", "--n", "1"], 1),
+                       (["ec", "--max-n", "-1"], 2),
+                       (["census", "--n", "31"], 3)]:
+        assert main(argv) == code, argv
+        assert errors.budget is callers, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n", "x"])
+    assert exc.value.code == 2
+    assert errors.budget is callers
+    if planted:
+        assert callers.filled == WORK_CAP
 
 
 def test_force_lifts_the_cap(capsys):
@@ -548,15 +583,15 @@ def test_probe_on_the_boundary_of_an_overlapping_piece_exits_1(capsys, monkeypat
     # piece 0, and in piece 1 with x_3 + x_4 + x_5 + x_6 = 2 on its bound
     real = geometry.spec_for_Pkn
 
-    def loosened(k, n, flipped=(), cap=None):
-        spec = real(k, n, flipped, cap)
+    def loosened(k, n, flipped=()):
+        spec = real(k, n, flipped)
         first, *rest = spec.bounds
         return alcoved.AlcovedSpec(spec.ambient_n, spec.level_k,
                                    (first._replace(upper=first.upper + 1), *rest))
 
     monkeypatch.setattr(geometry, "spec_for_Pkn", loosened)
     monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
-                        lambda spec, count, rng, cap=None: [(48, 49, 24, 24, 73, 73)])
+                        lambda spec, count, rng: [(48, 49, 24, 24, 73, 73)])
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--n", "2", "--format", "json")
     assert code == 1
     assert json.loads(out)["failures"] == [
@@ -587,8 +622,8 @@ def test_hypersimplex_off_the_eulerian_number_exits_1(capsys, monkeypatch):
 def test_census_off_its_volume_exits_1(capsys, monkeypatch):
     real = alcoved.exceedance_position_census
 
-    def off_by_one(n, k, cap):
-        census = real(n, k, cap)
+    def off_by_one(n, k):
+        census = real(n, k)
         census[(1,)] += 1
         return census
 
@@ -626,7 +661,7 @@ def test_empty_or_flat_polytope_from_a_cli_spec_exits_1(capsys, monkeypatch, pla
     # are bugs there, not bad arguments
     real = geometry.count_dilated_lattice_points
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda spec, t, cap=None: planted.get(t, real(spec, t, cap)))
+                        lambda spec, t: planted.get(t, real(spec, t)))
     assert run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "2") == (
         1, "", f"error: internal invariant failed: {message}\n")
 
@@ -637,7 +672,7 @@ def test_wrong_lattice_count_prints_no_volume(capsys, monkeypatch):
     real = geometry.count_dilated_lattice_points
     wrong = {}
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda spec, t, cap=None: real(spec, t, cap) + wrong.get(t, 0))
+                        lambda spec, t: real(spec, t) + wrong.get(t, 0))
     for shape, d in [(("pkn", "--k", "2", "--n", "3"), 7), (("pkn", "--k", "2", "--n", "2"), 5),
                      (("hypersimplex", "--k", "3", "--n", "6"), 5)]:
         for t in range(d + 1):
@@ -673,7 +708,7 @@ def test_indivisible_eulerian_catalan_number_exits_1(capsys, monkeypatch):
 def test_negative_volume_exits_1(capsys, monkeypatch):
     # h = 1, 1, 0 meets h(1) >= 1, full degree and h(-1) = 0, but 2! h(t) = 2 + t - t^2
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda spec, t, cap=None: (1, 1, 0)[t])
+                        lambda spec, t: (1, 1, 0)[t])
     code, out, err = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "1", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: internal invariant failed: normalized volume -1 is negative\n"

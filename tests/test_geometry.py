@@ -17,6 +17,7 @@ from eulercat.alcoved import (
     spec_for_hypersimplex,
     w_set_count,
 )
+from eulercat import errors
 from eulercat.errors import WORK_CAP, Budget, DegenerateDimensionError, ScaleCapError
 from eulercat.geometry import (
     count_dilated_lattice_points,
@@ -288,33 +289,37 @@ def test_ehrhart_degenerate_polytope_is_reported():
         ehrhart_volume(spec)
 
 
-def test_ehrhart_scale_cap():
+def test_ehrhart_scale_cap(monkeypatch):
     # the DP's edge: Delta(22, 43), the largest hypersimplex in 43 coordinates, fills
     # 419,078 cells and Delta(22, 44) 459,844
     assert WORK_CAP == 440_000
+    pkn = spec_for_Pkn(2, 3)  # its 3 bounds are built before any budget is set
     budget = Budget()
-    assert ehrhart_volume(spec_for_hypersimplex(22, 43), budget)["normalized_volume"] \
+    monkeypatch.setattr(errors, "budget", budget)
+    assert ehrhart_volume(spec_for_hypersimplex(22, 43))["normalized_volume"] \
         == eulerian(21, 42)
     assert budget.filled == 419_078
+    monkeypatch.setattr(errors, "budget", Budget())
     with pytest.raises(ScaleCapError):
-        ehrhart_volume(spec_for_hypersimplex(22, 44), Budget())
+        ehrhart_volume(spec_for_hypersimplex(22, 44))
     # P_{2,3} fills 352 cells, so a second volume on the same budget is refused
     budget = Budget()
     budget.charge(WORK_CAP - 352)
-    ehrhart_volume(spec_for_Pkn(2, 3), budget)
+    monkeypatch.setattr(errors, "budget", budget)
+    ehrhart_volume(pkn)
     assert budget.filled == WORK_CAP
     with pytest.raises(ScaleCapError):
-        ehrhart_volume(spec_for_Pkn(2, 3), budget)
+        ehrhart_volume(pkn)
     # a dilation fills at least one cell per window, charged before the windows are built
+    monkeypatch.setattr(errors, "budget", Budget())
     with pytest.raises(ScaleCapError):
-        count_dilated_lattice_points(spec_for_hypersimplex(1, 10**9), 0, Budget())
+        count_dilated_lattice_points(spec_for_hypersimplex(1, 10**9), 0)
 
 
 def test_ehrhart_at_scale():
     # 32 coordinates, d = 31
-    assert ehrhart_volume(spec_for_Pkn(2, 15), cap=None)["normalized_volume"] == \
-        eulerian_catalan(15)
-    assert verify_subdivision(2, 8, cap=None)[0]
+    assert ehrhart_volume(spec_for_Pkn(2, 15))["normalized_volume"] == eulerian_catalan(15)
+    assert verify_subdivision(2, 8)[0]
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1)])
@@ -376,8 +381,8 @@ def test_probes_read_the_counted_pkn_spec(monkeypatch):
     # and the probes must see it as well as the piece volume
     real = geometry.spec_for_Pkn
 
-    def loosened(k, n, flipped=(), cap=None):
-        spec = real(k, n, flipped, cap)
+    def loosened(k, n, flipped=()):
+        spec = real(k, n, flipped)
         first, *rest = spec.bounds
         return AlcovedSpec(spec.ambient_n, spec.level_k,
                            (first._replace(upper=first.upper + 1), *rest))
@@ -395,9 +400,9 @@ def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
     calls = []
     count = geometry.count_dilated_lattice_points
 
-    def counting(spec, t, cap):
+    def counting(spec, t):
         calls.append((spec, t))
-        return count(spec, t, cap)
+        return count(spec, t)
 
     monkeypatch.setattr(geometry, "count_dilated_lattice_points", counting)
     assert verify_subdivision(2, 2)[0]

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from eulercat import errors
 from eulercat.errors import WORK_CAP, Budget, ScaleCapError
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
 from eulercat.orbit import (
@@ -129,18 +130,20 @@ def test_dyck_walk_matches_brute_force(k, n):
 
 
 def test_uncapped_walks_match_the_numbers():
-    assert set(equidistribution_census(31, cap=None).values()) == {eulerian_catalan(31)}
-    assert count_dyck_permutations(50, 2, cap=None) == eulerian_catalan(50)
-    assert count_dyck_permutations(20, 3, cap=None) == fuss_eulerian_catalan(3, 20)
+    assert set(equidistribution_census(31).values()) == {eulerian_catalan(31)}
+    assert count_dyck_permutations(50, 2) == eulerian_catalan(50)
+    assert count_dyck_permutations(20, 3) == fuss_eulerian_catalan(3, 20)
 
 
-def test_census_scale_cap():
+def test_census_scale_cap(monkeypatch):
     # the walk's edge: census --n 30 fills 399,775 cells, --n 31 453,375
     budget = Budget()
-    assert set(equidistribution_census(30, cap=budget).values()) == {eulerian_catalan(30)}
+    monkeypatch.setattr(errors, "budget", budget)
+    assert set(equidistribution_census(30).values()) == {eulerian_catalan(30)}
     assert budget.filled == 399_775
+    monkeypatch.setattr(errors, "budget", Budget())
     with pytest.raises(ScaleCapError):
-        equidistribution_census(31, cap=Budget())
+        equidistribution_census(31)
 
 
 def test_count_dyck_permutations_examples():
@@ -167,9 +170,9 @@ def test_flaw_count_is_uniform_at_higher_k(k, n):
     def step(x, y, flaws, letter):
         return flaws + is_flaw_step(x, y, letter, k)
 
-    counts = descent_word_walk(k * n + k - 1, n, step, cap=None)
+    counts = descent_word_walk(k * n + k - 1, n, step)
     assert counts == {j: fuss_eulerian_catalan(k, n) for j in range(n + 1)}
-    assert counts[0] == count_dyck_permutations(n, k, cap=None)
+    assert counts[0] == count_dyck_permutations(n, k)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -186,13 +189,14 @@ def test_census_rejects_bad_args():
             equidistribution_census(n, k)
 
 
-def test_count_dyck_rejects_bad_args():
+def test_count_dyck_rejects_bad_args(monkeypatch):
     with pytest.raises(ValueError):
         count_dyck_permutations(2, 1)
     budget = Budget()
     budget.charge(WORK_CAP - 403)
+    monkeypatch.setattr(errors, "budget", budget)
     with pytest.raises(ScaleCapError):
-        count_dyck_permutations(8, 2, cap=budget)  # the walk fills 404 cells
+        count_dyck_permutations(8, 2)  # the walk fills 404 cells
 
 
 def test_bijection_examples():

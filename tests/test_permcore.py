@@ -11,6 +11,7 @@ from eulercat.permcore import (
     format_permutation,
 )
 
+from eulercat import errors
 from eulercat.errors import WORK_CAP, Budget, ScaleCapError
 from oracles import (
     complement,
@@ -125,12 +126,12 @@ def test_cyclic_descent_dichotomy_for_central_class(n):
         assert len(cyclic_descent_positions(w)) in (n, n + 1)
 
 
-def word_census(m, d, cap=None):
+def word_census(m, d):
     """{ad-word: count} from a walk whose key is the word read so far, as a bitmask."""
     def step(x, y, word, letter):
         return word | letter << (x + y)
 
-    counts = descent_word_walk(m, d, step, cap)
+    counts = descent_word_walk(m, d, step)
     return {tuple(word >> i & 1 for i in range(m - 1)): c for word, c in counts.items()}
 
 
@@ -142,7 +143,7 @@ def test_descent_word_census_matches_brute_force(m):
         assert word_census(m, d) == brute
 
 
-def test_descent_word_census_edges_and_cap():
+def test_descent_word_census_edges_and_cap(monkeypatch):
     assert word_census(1, 0) == {(): 1}
     assert word_census(4, 4) == {}
     assert word_census(4, -1) == {}
@@ -156,13 +157,14 @@ def test_descent_word_census_edges_and_cap():
     assert cells == 272
     budget = Budget()
     budget.charge(WORK_CAP - cells)  # leaves the walk exactly its cells
-    assert sum(descent_word_walk(12, 5, lambda x, y, key, letter: key, budget).values()) \
-        == 162512286
+    monkeypatch.setattr(errors, "budget", budget)
+    assert sum(descent_word_walk(12, 5, lambda x, y, key, letter: key).values()) == 162512286
     assert budget.filled == WORK_CAP
     budget = Budget()
     budget.charge(WORK_CAP - cells + 1)
+    monkeypatch.setattr(errors, "budget", budget)
     with pytest.raises(ScaleCapError):
-        descent_word_walk(12, 5, lambda x, y, key, letter: key, budget)
+        descent_word_walk(12, 5, lambda x, y, key, letter: key)
 
 
 def test_as_permutation_rejects_non_bijections():

@@ -80,6 +80,24 @@ def test_scale_cap_error_is_raised_in_one_place():
     assert len(raised) == 1 and raised[0].startswith("errors.py:")
 
 
+def test_the_budget_is_set_by_the_command_alone():
+    # the work cap is a setting of one command: no function takes it as a parameter,
+    # and cli.main is the one place that sets (and restores) errors.budget
+    params, setters = [], set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = f"{path.stem}.{top.name}" if isinstance(top, ast.FunctionDef) else path.stem
+            for node in ast.walk(top):
+                if isinstance(node, ast.arg) and node.arg == "cap":
+                    params.append(f"{path.name}:{node.lineno}")
+                elif (isinstance(node, ast.Attribute) and node.attr == "budget"
+                      and isinstance(node.ctx, ast.Store)
+                      or isinstance(node, ast.Global) and "budget" in node.names):
+                    setters.add(owner)
+    assert params == []
+    assert setters == {"cli.main"}
+
+
 def _traced_names(tree):
     """The functions the bench runner sums per layer: every name in FUNCTION_METRICS,
     and each literal tuple of names it passes to absent(), the nested pair included."""
