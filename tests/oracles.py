@@ -4,8 +4,10 @@ against, the East-step exceedance (the paper's definition, which the flaw
 rule replaced), the whole-word path statistics, the linear and cyclic
 descent scans and the shift-by-shift orbit certificate that the cyclic
 ad-word replaced, the full-window lattice-count DP that the banded one
-replaced, the Chung-Feller machinery on 0/1 words (0 = East,
-1 = North) that only the tests run, and the k = 2 name of the Fuss count.
+replaced, the column walk of the Eulerian recurrence that the closed form
+replaced for single entries, the Chung-Feller machinery on 0/1 words
+(0 = East, 1 = North) that only the tests run, and the k = 2 name of the
+Fuss count.
 """
 import itertools
 from collections import Counter
@@ -18,6 +20,24 @@ from eulercat.permcore import ad_vector, as_permutation
 def eulerian_catalan(n):
     """EC_n = A(n, 2n+1) / (n+1), the Fuss count at k = 2."""
     return fuss_eulerian_catalan(2, n)
+
+
+def column_walk_eulerian(m, n):
+    """
+    A(m, n) by the recurrence A(j, r) = (r-j) A(j-1, r-1) + (j+1) A(j, r-1),
+    walked over the entries of rows 1..n with at most m descents and at most
+    n-1-m ascents: the only ones that feed A(m, n).
+    """
+    lo, row = 0, [1]  # row 0: the empty permutation, no descents
+    for r in range(1, n + 1):
+        # lo stays or moves up by one, and hi by at most one: both ends padded
+        prev_lo, padded = lo, [0, *row, 0]
+        lo, hi = max(0, r - n + m), min(r - 1, m)
+        row = [
+            (r - j) * padded[j - prev_lo] + (j + 1) * padded[j - prev_lo + 1]
+            for j in range(lo, hi + 1)
+        ]
+    return row[0]
 
 
 def descent_positions(w):

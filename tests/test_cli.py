@@ -689,20 +689,21 @@ def test_indivisible_fuss_count_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(numbers, "eulerian", lambda m, n: real(m, n) + 1)
     assert run_cli(capsys, "fuss", "--k", "2", "--n", "3") == (
         1, "", "error: internal invariant failed: fuss(2, 3): 2417 is not divisible by 4; "
-               "this indicates a bug in the Eulerian recurrence\n")
+               "this indicates a bug in the Eulerian alternating sum\n")
 
 
 def test_indivisible_eulerian_catalan_number_exits_1(capsys, monkeypatch):
     real = numbers.eulerian_rows
 
-    def raised_by_one(n, descents, ascents):
-        for lo, row in real(n, descents, ascents):
-            yield lo, [a + 1 for a in row]  # a copy: the walk reads its own row
+    def raised_by_one(n, width):
+        for lo, half in real(n, width):
+            yield lo, [a + 1 for a in half]  # a copy: the walk reads its own half
 
     monkeypatch.setattr(numbers, "eulerian_rows", raised_by_one)
     code, out, err = run_cli(capsys, "ec", "--max-n", "2")
     assert (code, out) == (1, "")
-    assert err.startswith("error: internal invariant failed: EC_1: 5 is not divisible by 2;")
+    assert err == ("error: internal invariant failed: EC_1: 5 is not divisible by 2; "
+                   "this indicates a bug in the Eulerian row walk\n")
 
 
 def test_negative_volume_exits_1(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from eulercat.numbers import (
 from eulercat.paths import exceedance
 
 from conftest import brute_descent_census
-from oracles import enumerate_diagonal_paths, eulerian_catalan
+from oracles import column_walk_eulerian, enumerate_diagonal_paths, eulerian_catalan
 
 
 def test_eulerian_small_values_against_brute_force():
@@ -92,32 +92,40 @@ def test_big_values_stay_exact():
     assert eulerian_catalan(10) * 11 == eulerian(10, 21)
 
 
-def closed_form_eulerian(m, n):
-    """A(m, n) by the alternating sum; shares nothing with the recurrence."""
-    return sum((-1) ** j * math.comb(n + 1, j) * (m + 1 - j) ** n for j in range(m + 1))
-
-
 @pytest.mark.parametrize("m,n", [(0, 501), (1, 501), (250, 501), (500, 501),
-                                 (3, 900), (449, 900)])
+                                 (3, 900), (449, 900), (450, 900)])
 def test_eulerian_past_n_500_matches_closed_form(m, n):
-    assert eulerian(m, n) == closed_form_eulerian(m, n)
+    # eulerian is the closed form, and the row walk shares no code with it; A(250, 501)
+    # is the centre of an odd row, A(449, 900) and A(450, 900) meet at an even row's mirror
+    assert eulerian(m, n) == eulerian_row(n)[m]
+
+
+def test_closed_form_matches_the_row_walk():
+    # every entry, upper halves included, of rows 1..60: both parities of the seam
+    for n in range(1, 61):
+        assert [eulerian(m, n) for m in range(n)] == eulerian_row(n)
 
 
 @pytest.mark.parametrize("m,n", [(10, 3000), (3, 1200)])
 def test_eulerian_band_far_from_the_row_matches_closed_form(m, n):
-    # only columns 0..m of rows 1..n are walked; the whole row 3000 is never built
-    assert eulerian(m, n) == closed_form_eulerian(m, n)
+    # the column walk visits only columns 0..m of rows 1..n; row 3000 is never built
+    assert eulerian(m, n) == column_walk_eulerian(m, n)
 
 
 def test_band_walk_matches_full_row_walk():
-    # eulerian_catalan_upto walks only the band of at most N descents and N ascents
-    full = [row for _, row in eulerian_rows(121, 120, 120)]
+    # eulerian_rows clips each lower half to the entries with at most width ascents
+    full = [half for _, half in eulerian_rows(121, 120)]
+    for width in (0, 7, 40, 60):
+        for r, ((lo, band), half) in enumerate(zip(eulerian_rows(121, width), full), 1):
+            assert lo == max(0, r - 1 - width) and band == half[lo:]
+
+
+def test_eulerian_catalan_upto_matches_the_closed_form():
+    # the centre of each odd half against one alternating sum per n
+    ec = eulerian_catalan_upto(300)
+    assert ec == [fuss_eulerian_catalan(2, n) for n in range(301)]
     for max_n in range(61):
-        assert eulerian_catalan_upto(max_n) == [
-            full[2 * n][n] // (n + 1) for n in range(max_n + 1)
-        ]
-    for (lo, band), row in zip(eulerian_rows(121, descents=7, ascents=40), full):
-        assert band == row[lo : 8] and lo == max(0, len(row) - 41)
+        assert eulerian_catalan_upto(max_n) == ec[: max_n + 1]
 
 
 def test_eulerian_row_900_sum_and_symmetry():
@@ -125,7 +133,7 @@ def test_eulerian_row_900_sum_and_symmetry():
     assert len(row) == 900
     assert sum(row) == math.factorial(900)
     assert row == row[::-1]
-    assert row[17] == closed_form_eulerian(17, 900)
+    assert row[17] == eulerian(17, 900)
 
 
 def test_eulerian_row_rejects_empty_row():
@@ -152,7 +160,8 @@ def test_answers_of_any_size_print(capsys):
     for start in range(0, len(digits), 1000):  # read back in pieces under the limit
         piece = digits[start:start + 1000]
         value = value * 10 ** len(piece) + int(piece)
-    assert value == closed_form_eulerian(2, 14999) // 3
+    # A(2, n) = 3^n - (n+1) 2^n + n(n+1)/2, written out by hand
+    assert value == (3**14999 - 15000 * 2**14999 + 14999 * 15000 // 2) // 3
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
