@@ -231,7 +231,10 @@ def _verify_alcoved_vs_dyck(args) -> tuple[bool, dict]:
     spec = alcoved.spec_for_Pkn(args.k, args.n)
     via_paths = orbit.count_dyck_permutations(args.n, args.k)
     via_alcoves = alcoved.w_set_count(spec)
-    return via_alcoves == via_paths, {"alcoved_count": via_alcoves, "dyck_count": via_paths}
+    # both counts are rules of one walk, so the closed form, which runs none, judges them
+    expected = numbers.fuss_eulerian_catalan(args.k, args.n)
+    ok = via_alcoves == via_paths == expected
+    return ok, {"alcoved_count": via_alcoves, "dyck_count": via_paths, "expected": expected}
 
 
 def _verify_census_vs_volumes(args) -> tuple[bool, dict]:

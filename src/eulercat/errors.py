@@ -1,10 +1,10 @@
 """Shared exception types and the one work cap, counted in cells, that they enforce."""
 
-# A cell is one entry that an engine fills: a rank-row entry of the descent-word walk or
-# a DP-row entry of the Ehrhart count.  The cap sits between the largest Delta(k, 43),
-# Delta(22, 43) with 419,078 cells (0.04-0.06 s), and Delta(22, 44) with 459,844, so
-# `volume` admits every slice the old 43-coordinate cap did; verify census-vs-volumes
-# fills 351k cells at --n 7 and 1.01M at --n 8.  The walk fills 3-5M cells/s and the DP
+# A cell is one entry that an engine fills: a rank-row entry of the descent-word walk, or
+# a DP-row entry or band window of the Ehrhart count.  The cap sits between the largest
+# Delta(k, 43), Delta(22, 43) with 419,122 cells (0.04-0.06 s), and Delta(22, 44) with
+# 459,889, so `volume` admits every slice the old 43-coordinate cap did; census-vs-volumes
+# fills 354k cells at --n 7 and 1.02M at --n 8.  The walk fills 3-5M cells/s and the DP
 # 6-10M, so the walk's costliest admitted count, census --n 30 (399,775 cells), takes
 # 0.08-0.13 s (CPython 3.11, shared 2-vCPU machine, in-process, best of 3)
 WORK_CAP = 440_000

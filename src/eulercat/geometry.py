@@ -3,20 +3,22 @@ Independent exact volumes via Ehrhart lattice-point counting.
 
 A dilated alcoved slice is counted by a dynamic program over the running
 prefix sum.  One forward and one backward pass first give each step i the
-band [lo_i, hi_i] of sums x_1 + ... + x_i that lie on some lattice point:
-reachable from 0 in steps of 0..t, still able to reach t * level_k, and
-inside every prefix bound.  The DP row at step i holds exactly that band,
-so a dilation costs the sum of its window widths, and each step is one
-difference of the previous row's prefix sums.  An empty dilate shows as a
-crossed window, lo_i > hi_i, and runs no DP.  The counts at dilations
-t = 0..d determine d! times the Ehrhart polynomial, whose coefficients
-are integers, by Newton forward differences; its leading coefficient is
-the normalized volume.  Subdivision probes are exactly uniform lattice
-points of the dilated hypersimplex, drawn by inverse CDF from the same
-DP's prefix tables, and are tested as integer numerators over one common
-denominator against the rotated bounds of the P_{k,n} spec whose volume
-is counted.  Nothing here consults the permutation-counting route, so
-the two volume computations cross-check each other.
+polytope's band [lo_i, hi_i] of sums x_1 + ... + x_i that lie on some
+lattice point: reachable from 0 in steps of 0..1, still able to reach
+level_k, and inside every prefix bound.  Every clamp and step is linear in
+the dilation, so the band is built once per polytope, and the t-fold
+dilate's DP row at step i holds exactly t * [lo_i, hi_i]: a dilation costs
+the sum of its window widths, each step one difference of the previous
+row's prefix sums.  An empty polytope has a crossed band, some lo_i > hi_i,
+and its dilates t >= 1 run no DP.  The counts at dilations t = 0..d
+determine d! times the Ehrhart polynomial, whose coefficients are
+integers, by Newton forward differences; its leading coefficient is the
+normalized volume.  Subdivision probes are exactly uniform lattice points
+of the dilated hypersimplex, drawn by inverse CDF from the same DP's
+prefix tables, and are tested as integer numerators over one common
+denominator against the rotated bounds of the P_{k,n} spec whose volume is
+counted.  Nothing here consults the permutation-counting route, so the two
+volume computations cross-check each other.
 """
 from __future__ import annotations
 
@@ -38,69 +40,63 @@ PROBE_SEED = 271828
 PROBE_DENOMINATOR = 97
 
 
-def _windows(spec: AlcovedSpec, t: int) -> list[tuple[int, int]]:
+def _windows(spec: AlcovedSpec) -> list[tuple[int, int]]:
     """
-    The band [lo_i, hi_i] of prefix sums x_1 + ... + x_i, i = 0..N, that lie
-    on some lattice point of the t-fold dilate.  A forward pass keeps the
-    sums reachable from 0 in steps of 0..t within every bound, a backward
-    pass those that can still reach t * level_k.  An empty dilate shows as
-    a crossed window, lo_i > hi_i.  Charges the command's budget with the
-    window widths: one cell per window before building them, the rest after.
+    The band [lo_i, hi_i] of prefix sums x_1 + ... + x_i, i = 0..N, that lie on
+    some lattice point of spec: a forward pass keeps the sums reachable from 0 in
+    steps of 0..1 within every bound, a backward pass those that can still reach
+    level_k.  The t-fold dilate's band is t times it; an empty polytope shows as a
+    crossed window, lo_i > hi_i.  Charges one cell per window before building them.
     """
     charge(spec.ambient_n + 1)
-    target = t * spec.level_k
-    clamps = [(0, target)] * spec.ambient_n + [(target, target)]
+    clamps = [(0, spec.level_k)] * spec.ambient_n + [(spec.level_k, spec.level_k)]
     for bd in spec.bounds:
         lo, hi = clamps[bd.j]
         if bd.lower is not None:
-            lo = max(lo, t * bd.lower)
+            lo = max(lo, bd.lower)
         if bd.upper is not None:
-            hi = min(hi, t * bd.upper)
+            hi = min(hi, bd.upper)
         clamps[bd.j] = (lo, hi)
-    windows = [(0, 0)]
+    band = [(0, 0)]
     for clo, chi in clamps[1:]:
-        lo, hi = windows[-1]
-        windows.append((max(lo, clo), min(hi + t, chi)))
+        lo, hi = band[-1]
+        band.append((max(lo, clo), min(hi + 1, chi)))
     for i in range(spec.ambient_n - 1, -1, -1):
-        (lo, hi), (nlo, nhi) = windows[i], windows[i + 1]
-        windows[i] = (max(lo, nlo - t), min(hi, nhi))
-    charge(sum(max(hi - lo, 0) for lo, hi in windows))
-    return windows
+        (lo, hi), (nlo, nhi) = band[i], band[i + 1]
+        band[i] = (max(lo, nlo - 1), min(hi, nhi))
+    return band
 
 
-def _prefix_tables(
-    windows: Sequence[tuple[int, int]], t: int
-) -> Iterator[tuple[int, list[int]]]:
+def _prefix_tables(band: Sequence[tuple[int, int]], t: int) -> Iterator[tuple[int, list[int]]]:
     """
-    The DP over uncrossed windows, one coordinate x_i in 0..t per step: yields
-    (lo_i, prefix_i) for i = 1..N.  prefix_i holds the prefix sums of row i-1
-    padded with zeros to the sums lo_i - t .. hi_i, so row i counts sum s as
-    prefix_i[s - lo_i + t + 1] - prefix_i[s - lo_i].  Both paddings are 0..t
-    wide, because tight windows move by 0..t per step.
+    The DP over the t-fold dilate of an uncrossed band, one coordinate x_i in 0..t per
+    step: yields (t * lo_i, prefix_i), i = 1..N, where prefix_i holds row i-1's prefix
+    sums padded with zeros to the sums t * (lo_i - 1) .. t * hi_i, so row i counts sum s
+    as prefix_i[s - t * lo_i + t + 1] - prefix_i[s - t * lo_i].  Charges its cells first.
     """
+    charge(len(band) + t * sum(hi - lo for lo, hi in band))
     row = [1]
-    for (plo, phi), (lo, hi) in zip(windows, windows[1:]):
-        prefix = [0] * (plo - lo + t + 1)
+    for (plo, phi), (lo, hi) in zip(band, band[1:]):
+        prefix = [0] * (t * (plo - lo + 1) + 1)
         prefix += itertools.accumulate(row)
-        prefix += [prefix[-1]] * (hi - phi)
-        yield lo, prefix
+        prefix += [prefix[-1]] * (t * (hi - phi))
+        yield t * lo, prefix
         row = list(map(operator.sub, prefix[t + 1 :], prefix))
 
 
-def count_dilated_lattice_points(spec: AlcovedSpec, t: int) -> int:
+def count_dilated_lattice_points(band: Sequence[tuple[int, int]], t: int) -> int:
     """
-    Number of integer points of the t-fold dilate: 0 <= x_i <= t,
-    sum x_i = t * level_k, prefix sums within t-scaled bounds.  Charges the
-    command's budget with the DP's cells before the DP runs.
+    Number of integer points of the t-fold dilate of the polytope whose band
+    _windows built: 0 <= x_i <= t, sum x_i = t * level_k, prefix sums within
+    t-scaled bounds.  A crossed band counts 0 at t >= 1 and runs no DP.
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
-    windows = _windows(spec, t)
-    if any(lo > hi for lo, hi in windows):
+    if t and any(lo > hi for lo, hi in band):
         return 0
-    for _, prefix in _prefix_tables(windows, t):
+    for _, prefix in _prefix_tables(band, t):
         pass
-    # the last window is the one sum t * level_k = lo_N
+    # the last window is the one sum t * level_k = t * lo_N
     return prefix[t + 1] - prefix[0]
 
 
@@ -146,7 +142,8 @@ def ehrhart_volume(spec: AlcovedSpec) -> dict:
     its leading coefficient times d!, the normalized volume.
     """
     d = spec.ambient_n - 1
-    evaluations = [count_dilated_lattice_points(spec, t) for t in range(d + 1)]
+    band = _windows(spec)
+    evaluations = [count_dilated_lattice_points(band, t) for t in range(d + 1)]
     # integer bounds make the polytope a lattice polytope: if nonempty, its
     # vertices are lattice points of the undilated copy (t = 1)
     if evaluations[1] < 1:
@@ -206,11 +203,11 @@ def _sample_hypersimplex_points(
     Numerators of count exactly uniform lattice points of PROBE_DENOMINATOR
     times spec.  The lattice-count DP of the dilate keeps each step's prefix
     table; walking back from the full sum, each coordinate is drawn by
-    inverse CDF, one randrange and one bisect per coordinate.  Charges the
-    command's budget with the DP's cells, as count_dilated_lattice_points does.
+    inverse CDF, one randrange and one bisect per coordinate.  The band and
+    the DP charge the command's budget, as for count_dilated_lattice_points.
     """
     t = PROBE_DENOMINATOR
-    tables = list(_prefix_tables(_windows(spec, t), t))
+    tables = list(_prefix_tables(_windows(spec), t))
     tables.reverse()
     points = []
     for _ in range(count):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from eulercat import alcoved, errors, geometry, numbers, orbit
+from eulercat import alcoved, errors, geometry, numbers, orbit, paths, permcore
 from eulercat.cli import build_parser, main
 from eulercat.errors import WORK_CAP, Budget
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
@@ -68,6 +68,9 @@ def test_dyck_count(capsys):
     code, out, _ = run_cli(capsys, "dyck-count", "--n", "2", "--k", "2",
                            "--format", "csv")
     assert code == 0 and out == "n,k,count\n2,2,22\n"
+    # --k defaults to 2, and fuss(2, 3) = 604
+    code, out, _ = run_cli(capsys, "dyck-count", "--n", "3", "--format", "csv")
+    assert code == 0 and out == "n,k,count\n3,2,604\n"
 
 
 def test_census(capsys):
@@ -221,8 +224,8 @@ def test_scale_cap_refusal(capsys):
 
 
 def test_one_budget_per_command(capsys):
-    # census-vs-volumes fills 351k cells at --n 7 and 1.01M at --n 8, although each
-    # of its 256 volumes at --n 8 fills under 4,000: every volume draws on one budget
+    # census-vs-volumes fills 354k cells at --n 7 and 1.02M at --n 8, although each
+    # of its 256 volumes at --n 8 fills at most 7,246: every volume draws on one budget
     code, out, _ = run_cli(capsys, "verify", "census-vs-volumes", "--n", "7")
     assert code == 0 and out.startswith("PASS")
     code, out, err = run_cli(capsys, "verify", "census-vs-volumes", "--n", "8")
@@ -265,7 +268,7 @@ def test_main_gives_back_the_callers_budget(capsys, monkeypatch, planted):
 
 
 def test_force_lifts_the_cap(capsys):
-    # Delta(22, 44) fills 459,844 cells, past the cap; Delta(22, 43) fills 419,078
+    # Delta(22, 44) fills 459,889 cells, past the cap; Delta(22, 43) fills 419,122
     code, out, err = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "22",
                              "--n", "44")
     assert code == 3 and out == ""
@@ -311,6 +314,26 @@ def test_alcoved_vs_dyck_refuses_n_below_1(capsys):
     for n in ("0", "-1"):
         assert run_cli(capsys, "verify", "alcoved-vs-dyck", "--n", n) == \
             (2, "", "error: n must be >= 1\n")
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
+def test_alcoved_vs_dyck_fails_on_a_wrong_walk(capsys, monkeypatch, k, n):
+    # both counts are rules of one walk, so a fault in it moves them together; the
+    # closed form, which runs no walk, is what catches it
+    real = permcore.descent_word_walk
+
+    def inflated(m, d, step):
+        return {key: count + 1 for key, count in real(m, d, step).items()}
+
+    monkeypatch.setattr(permcore, "descent_word_walk", inflated)
+    monkeypatch.setattr(paths, "descent_word_walk", inflated)  # bound at import
+    code, out, _ = run_cli(capsys, "verify", "alcoved-vs-dyck", "--k", str(k), "--n", str(n),
+                           "--format", "json")
+    expected = fuss_eulerian_catalan(k, n)
+    assert code == 1
+    assert json.loads(out) == {"target": "alcoved-vs-dyck", "k": k, "n": n,
+                               "alcoved_count": expected + 1, "dyck_count": expected + 1,
+                               "expected": expected, "status": "FAIL"}
 
 
 # the commands the benchmark runs without --force, listed here on their own
@@ -522,7 +545,7 @@ def test_verify_reports_name_k(capsys):
         ("census-vs-volumes", 3, {
             "entries": {"{}": {"census": 13, "volume": 13}, "{1}": {"census": 13, "volume": 13}},
             "mismatches": []}),
-        ("alcoved-vs-dyck", 3, {"alcoved_count": 13, "dyck_count": 13}),
+        ("alcoved-vs-dyck", 3, {"alcoved_count": 13, "dyck_count": 13, "expected": 13}),
         ("subdivision", 2, {
             "piece_volumes": [2, 2], "total_volume": 4, "hypersimplex_volume": 4,
             "expected_piece_volume": 2, "interior_hits": [60, 58], "failures": []}),
@@ -661,7 +684,7 @@ def test_empty_or_flat_polytope_from_a_cli_spec_exits_1(capsys, monkeypatch, pla
     # are bugs there, not bad arguments
     real = geometry.count_dilated_lattice_points
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda spec, t: planted.get(t, real(spec, t)))
+                        lambda band, t: planted.get(t, real(band, t)))
     assert run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "2") == (
         1, "", f"error: internal invariant failed: {message}\n")
 
@@ -672,7 +695,7 @@ def test_wrong_lattice_count_prints_no_volume(capsys, monkeypatch):
     real = geometry.count_dilated_lattice_points
     wrong = {}
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda spec, t: real(spec, t) + wrong.get(t, 0))
+                        lambda band, t: real(band, t) + wrong.get(t, 0))
     for shape, d in [(("pkn", "--k", "2", "--n", "3"), 7), (("pkn", "--k", "2", "--n", "2"), 5),
                      (("hypersimplex", "--k", "3", "--n", "6"), 5)]:
         for t in range(d + 1):
@@ -709,7 +732,7 @@ def test_indivisible_eulerian_catalan_number_exits_1(capsys, monkeypatch):
 def test_negative_volume_exits_1(capsys, monkeypatch):
     # h = 1, 1, 0 meets h(1) >= 1, full degree and h(-1) = 0, but 2! h(t) = 2 + t - t^2
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda spec, t: (1, 1, 0)[t])
+                        lambda band, t: (1, 1, 0)[t])
     code, out, err = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "1", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: internal invariant failed: normalized volume -1 is negative\n"
@@ -718,8 +741,9 @@ def test_negative_volume_exits_1(capsys, monkeypatch):
 DIET_PROBE = """
 import sys
 from eulercat.cli import main
-main(sys.argv[1:])
+code = main(sys.argv[1:])
 print(" ".join(sorted(sys.modules)), file=sys.stderr)
+sys.exit(code)
 """
 
 

@@ -84,10 +84,10 @@ def fraction_piece_membership(k, n, i, point, strict, flipped=()):
 
 
 def test_count_dilated_trivial_cases():
-    segment = spec_for_hypersimplex(1, 2)
+    segment = geometry._windows(spec_for_hypersimplex(1, 2))
     for t in range(6):
         assert count_dilated_lattice_points(segment, t) == t + 1
-    assert count_dilated_lattice_points(spec_for_Pkn(2, 2), 0) == 1
+    assert count_dilated_lattice_points(geometry._windows(spec_for_Pkn(2, 2)), 0) == 1
     with pytest.raises(ValueError, match=r"^dilation factor must be >= 0$"):
         count_dilated_lattice_points(segment, -1)
 
@@ -105,7 +105,7 @@ def test_count_dilated_trivial_cases():
 )
 @pytest.mark.parametrize("t", [0, 1, 2, 3])
 def test_dp_agrees_with_naive_enumeration(spec, t):
-    assert count_dilated_lattice_points(spec, t) == naive_lattice_count(spec, t)
+    assert count_dilated_lattice_points(geometry._windows(spec), t) == naive_lattice_count(spec, t)
 
 
 def _pinned(ambient_n, level_k, j, extra=()):
@@ -132,7 +132,7 @@ CHECKPOINT_SPECS = {
 @pytest.mark.parametrize("spec", list(CHECKPOINT_SPECS.values()), ids=list(CHECKPOINT_SPECS))
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
 def test_dp_agrees_with_naive_enumeration_on_lower_bounds(spec, t):
-    assert count_dilated_lattice_points(spec, t) == naive_lattice_count(spec, t)
+    assert count_dilated_lattice_points(geometry._windows(spec), t) == naive_lattice_count(spec, t)
 
 
 def test_interpolation_is_exact():
@@ -171,8 +171,9 @@ def test_ehrhart_held_out_dilation():
     spec = spec_for_Pkn(2, 2)
     record = ehrhart_volume(spec)
     t = record["dimension"] + 1
+    held_out = count_dilated_lattice_points(geometry._windows(spec), t)
     assert eval_poly(interpolate_at_integers(record["evaluations"]), t) == \
-        math.factorial(record["dimension"]) * count_dilated_lattice_points(spec, t)
+        math.factorial(record["dimension"]) * held_out
 
 
 def test_ehrhart_empty_polytope_is_refused():
@@ -227,20 +228,25 @@ CROSSED_SPECS = [
 @example(CROSSED_SPECS[2], 4)
 @given(prefix_bound_specs(), st.integers(0, 5))
 def test_banded_dp_matches_the_full_window_dp(spec, t):
-    assert count_dilated_lattice_points(spec, t) == full_window_lattice_count(spec, t)
+    assert count_dilated_lattice_points(geometry._windows(spec), t) == \
+        full_window_lattice_count(spec, t)
 
 
 @pytest.mark.parametrize("spec", CROSSED_SPECS)
 def test_empty_dilate_is_a_crossed_window_and_runs_no_dp(spec, monkeypatch):
+    band = geometry._windows(spec)
+    assert any(lo > hi for lo, hi in band)
+    assert count_dilated_lattice_points(band, 0) == 1  # the 0-fold dilate is the point 0
     monkeypatch.setattr(geometry, "_prefix_tables", None)
-    assert any(lo > hi for lo, hi in geometry._windows(spec, 4))
-    assert count_dilated_lattice_points(spec, 4) == 0
+    assert [count_dilated_lattice_points(band, t) for t in range(1, 5)] == [0] * 4
 
 
 def assert_windows_are_the_feasible_prefix_sums(spec, t):
-    # a band wider than needed only costs time, so no count comparison catches it
+    # a band wider than needed only costs time, so no count comparison catches it; the
+    # t-fold dilate's band is t times the polytope's, since each clamp and step is
+    # linear in t
     points = list(naive_lattice_points(spec, t))
-    windows = geometry._windows(spec, t)
+    windows = [(t * lo, t * hi) for lo, hi in geometry._windows(spec)]
     assert len(windows) == spec.ambient_n + 1
     if not points:
         assert any(lo > hi for lo, hi in windows)
@@ -291,29 +297,31 @@ def test_ehrhart_degenerate_polytope_is_reported():
 
 def test_ehrhart_scale_cap(monkeypatch):
     # the DP's edge: Delta(22, 43), the largest hypersimplex in 43 coordinates, fills
-    # 419,078 cells and Delta(22, 44) 459,844
+    # 419,122 cells (419,078 over its dilations and 44 for its band) and Delta(22, 44)
+    # 459,889
     assert WORK_CAP == 440_000
     pkn = spec_for_Pkn(2, 3)  # its 3 bounds are built before any budget is set
     budget = Budget()
     monkeypatch.setattr(errors, "budget", budget)
     assert ehrhart_volume(spec_for_hypersimplex(22, 43))["normalized_volume"] \
         == eulerian(21, 42)
-    assert budget.filled == 419_078
+    assert budget.filled == 419_122
     monkeypatch.setattr(errors, "budget", Budget())
     with pytest.raises(ScaleCapError):
         ehrhart_volume(spec_for_hypersimplex(22, 44))
-    # P_{2,3} fills 352 cells, so a second volume on the same budget is refused
+    # P_{2,3} fills 361 cells, 9 of them for its band, so a second volume on the same
+    # budget is refused
     budget = Budget()
-    budget.charge(WORK_CAP - 352)
+    budget.charge(WORK_CAP - 361)
     monkeypatch.setattr(errors, "budget", budget)
     ehrhart_volume(pkn)
     assert budget.filled == WORK_CAP
     with pytest.raises(ScaleCapError):
         ehrhart_volume(pkn)
-    # a dilation fills at least one cell per window, charged before the windows are built
+    # a band fills one cell per window, charged before the windows are built
     monkeypatch.setattr(errors, "budget", Budget())
     with pytest.raises(ScaleCapError):
-        count_dilated_lattice_points(spec_for_hypersimplex(1, 10**9), 0)
+        geometry._windows(spec_for_hypersimplex(1, 10**9))
 
 
 def test_ehrhart_at_scale():
@@ -397,19 +405,26 @@ def test_probes_read_the_counted_pkn_spec(monkeypatch):
 
 
 def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
-    calls = []
-    count = geometry.count_dilated_lattice_points
+    calls, bands = [], []
+    count, windows = geometry.count_dilated_lattice_points, geometry._windows
 
-    def counting(spec, t):
-        calls.append((spec, t))
-        return count(spec, t)
+    def counting(band, t):
+        calls.append((band, t))
+        return count(band, t)
+
+    def building(spec):
+        bands.append(spec)
+        return windows(spec)
 
     monkeypatch.setattr(geometry, "count_dilated_lattice_points", counting)
+    monkeypatch.setattr(geometry, "_windows", building)
     assert verify_subdivision(2, 2)[0]
-    # P_{2,2} and Delta(3, 6), each at dilations t = 0..5
+    # P_{2,2} and Delta(3, 6), each at dilations t = 0..5 of its one band; the probes
+    # build the hypersimplex band once more for t = 97
     pkn, hyper = spec_for_Pkn(2, 2), spec_for_hypersimplex(3, 6)
+    assert bands == [pkn, hyper, hyper]
     assert len(calls) == 12
-    assert calls == [(pkn, t) for t in range(6)] + [(hyper, t) for t in range(6)]
+    assert calls == [(windows(pkn), t) for t in range(6)] + [(windows(hyper), t) for t in range(6)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
