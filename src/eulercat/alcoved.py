@@ -131,7 +131,7 @@ def subset_key(T: Iterable[int]) -> str:
     return "{" + ",".join(str(t) for t in items) + "}"
 
 
-def exceedance_position_census(n: int, k: int = 2) -> dict[tuple[int, ...], int]:
+def exceedance_position_census(k: int, n: int) -> dict[tuple[int, ...], int]:
     """
     For each T subset of {1..n}: count w in S_{kn+k-1} with n descents
     whose path has its flaws exactly in the rows {t-1 : t in T} (at k = 2,

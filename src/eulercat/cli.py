@@ -148,7 +148,7 @@ def _cmd_catalan(args) -> tuple[int, str]:
 def _cmd_dyck_count(args) -> tuple[int, str]:
     from . import orbit
 
-    count = orbit.count_dyck_permutations(args.n, args.k)
+    count = orbit.count_dyck_permutations(args.k, args.n)
     rows = [[args.n, args.k, count]]
     return EXIT_OK, render_table(["n", "k", "count"], rows, args.format)
 
@@ -157,12 +157,12 @@ def _cmd_census(args) -> tuple[int, str]:
     if args.by_position:
         from . import alcoved
 
-        census = alcoved.exceedance_position_census(args.n)
+        census = alcoved.exceedance_position_census(2, args.n)
         rows = [[alcoved.subset_key(T), count] for T, count in census.items()]
         return EXIT_OK, render_table(["positions", "count"], rows, args.format)
     from . import orbit
 
-    census = orbit.equidistribution_census(args.n)
+    census = orbit.equidistribution_census(2, args.n)
     rows = [[j, count] for j, count in sorted(census.items())]
     return EXIT_OK, render_table(["exceedance", "count"], rows, args.format)
 
@@ -213,7 +213,7 @@ def _cmd_volume(args) -> tuple[int, str]:
 def _verify_equidistribution(args) -> tuple[bool, dict]:
     from . import orbit
 
-    census = orbit.equidistribution_census(args.n, args.k)
+    census = orbit.equidistribution_census(args.k, args.n)
     expected = numbers.fuss_eulerian_catalan(args.k, args.n)
     ok = all(count == expected for count in census.values())
     return ok, {"census": {str(j): c for j, c in sorted(census.items())}, "expected": expected}
@@ -229,7 +229,7 @@ def _verify_alcoved_vs_dyck(args) -> tuple[bool, dict]:
     from . import alcoved, orbit
 
     spec = alcoved.spec_for_Pkn(args.k, args.n)
-    via_paths = orbit.count_dyck_permutations(args.n, args.k)
+    via_paths = orbit.count_dyck_permutations(args.k, args.n)
     via_alcoves = alcoved.w_set_count(spec)
     # both counts are rules of one walk, so the closed form, which runs none, judges them
     expected = numbers.fuss_eulerian_catalan(args.k, args.n)
@@ -242,7 +242,7 @@ def _verify_census_vs_volumes(args) -> tuple[bool, dict]:
 
     if args.n < 1:
         raise ValueError("n must be >= 1")  # P_{k,0}(T) is no polytope
-    census = alcoved.exceedance_position_census(args.n, args.k)
+    census = alcoved.exceedance_position_census(args.k, args.n)
     entries = {}
     mismatches = []
     for T, count in census.items():

@@ -153,15 +153,18 @@ def ehrhart_volume(spec: AlcovedSpec) -> dict:
         raise DegenerateDimensionError(
             f"leading Ehrhart coefficient vanishes: polytope has dimension < {d}"
         )
-    # Newton's form meets h(0..d) by construction, so only a point off them can
-    # catch a wrong count: by Ehrhart-Macdonald reciprocity (-1)^d h(-1) counts the
-    # interior lattice points, and a full-dimensional 0/1 slice has none, since
-    # each of its lattice points lies on a facet of the unit box
+    # Newton's form meets h(0..d) by construction, so only a value known exactly
+    # can catch a wrong count: by Ehrhart-Macdonald reciprocity (-1)^d h(-1) counts
+    # the interior lattice points, and a full-dimensional 0/1 slice has none, since
+    # each of its lattice points lies on a facet of the unit box; and the 0-fold
+    # dilate is one point, so h(0) = 1 catches a count scaled at every t
     d_factorial = math.factorial(d)
     at_minus_one = eval_poly(coeffs, -1)
     if at_minus_one != 0:
         raise InvariantError(f"h(-1) = {_ratio(at_minus_one, d_factorial)}, not 0: "
                              "a lattice-point count is wrong")
+    if evaluations[0] != 1:
+        raise InvariantError(f"h(0) = {evaluations[0]}, not 1: a lattice-point count is wrong")
     if coeffs[d] < 0:
         raise InvariantError(f"normalized volume {coeffs[d]} is negative")
     return {

@@ -14,12 +14,13 @@ from collections import Counter
 
 import pytest
 
-from eulercat import alcoved, geometry, numbers, orbit, paths
+from eulercat import alcoved, geometry, numbers, orbit
 from oracles import (
     chung_feller_orbit,
     enumerate_by_descent_count,
     enumerate_diagonal_paths,
     eulerian_catalan,
+    exceedance_positions,
 )
 
 
@@ -43,7 +44,7 @@ def test_criterion_2_equidistribution():
     started = time.time()
     frozen = {1: 2, 2: 22, 3: 604, 4: 31238}
     for n in range(1, 5):
-        census = orbit.equidistribution_census(n)
+        census = orbit.equidistribution_census(2, n)
         assert set(census.values()) == {frozen[n]}
         assert frozen[n] == eulerian_catalan(n)
         assert sum(census.values()) == numbers.eulerian(n, 2 * n + 1)
@@ -52,7 +53,7 @@ def test_criterion_2_equidistribution():
 
 def test_criterion_2_equidistribution_n5():
     started = time.time()
-    census = orbit.equidistribution_census(5)
+    census = orbit.equidistribution_census(2, 5)
     assert set(census.values()) == {eulerian_catalan(5)}
     report("#2 equidistribution (S_11)", "n = 5 over S_11", started)
 
@@ -77,14 +78,14 @@ FUSS_LARGE_INSTANCES = [(3, 3), (4, 2)]
 def test_criterion_4_fuss_counts():
     started = time.time()
     for k, n in FUSS_INSTANCES:
-        assert orbit.count_dyck_permutations(n, k) == numbers.fuss_eulerian_catalan(k, n)
+        assert orbit.count_dyck_permutations(k, n) == numbers.fuss_eulerian_catalan(k, n)
     report("#4 fuss-theorem", f"{len(FUSS_INSTANCES)} instances up to S_9", started)
 
 
 @pytest.mark.parametrize("k,n", FUSS_LARGE_INSTANCES)
 def test_criterion_4_fuss_counts_s11(k, n):
     started = time.time()
-    assert orbit.count_dyck_permutations(n, k) == numbers.fuss_eulerian_catalan(k, n)
+    assert orbit.count_dyck_permutations(k, n) == numbers.fuss_eulerian_catalan(k, n)
     report("#4 fuss-theorem (S_11)", f"(k, n) = ({k}, {n}) over S_11", started)
 
 
@@ -92,7 +93,7 @@ def test_criterion_5_alcoved_counting():
     started = time.time()
     for k, n in FUSS_INSTANCES:
         assert alcoved.w_set_count(alcoved.spec_for_Pkn(k, n)) == \
-            orbit.count_dyck_permutations(n, k)
+            orbit.count_dyck_permutations(k, n)
     for n in range(2, 9):
         for k in range(1, n):
             assert alcoved.w_set_count(alcoved.spec_for_hypersimplex(k, n)) == \
@@ -104,7 +105,7 @@ def test_criterion_5_alcoved_counting():
 def test_criterion_5_alcoved_counting_s11(k, n):
     started = time.time()
     assert alcoved.w_set_count(alcoved.spec_for_Pkn(k, n)) == \
-        orbit.count_dyck_permutations(n, k)
+        orbit.count_dyck_permutations(k, n)
     report("#5 alcoved-counting (S_11)", f"(k, n) = ({k}, {n})", started)
 
 
@@ -134,7 +135,7 @@ def test_criterion_7_subdivision():
 def test_criterion_8_volume_identity_at_one_exceedance():
     started = time.time()
     for n in range(1, 4):
-        census = alcoved.exceedance_position_census(n)
+        census = alcoved.exceedance_position_census(2, n)
         volumes = {
             T: geometry.ehrhart_volume(
                 alcoved.spec_for_Pkn(2, n, T)
@@ -152,9 +153,9 @@ def test_criterion_9_classic_chung_feller():
     for n in range(1, 9):
         buckets = Counter()
         for path in enumerate_diagonal_paths(n):
-            buckets[paths.exceedance(path)] += 1
+            buckets[len(exceedance_positions(path))] += 1
             orbit_paths = chung_feller_orbit(path)
-            assert sorted(paths.exceedance(p) for p in orbit_paths) == \
+            assert sorted(len(exceedance_positions(p)) for p in orbit_paths) == \
                 list(range(n + 1))
         assert buckets == {j: numbers.catalan(n) for j in range(n + 1)}
     report("#9 chung-feller", "all paths to (n,n), n <= 8", started)

@@ -118,7 +118,7 @@ def test_w_set_count_pkn_examples():
 def test_w_set_count_pkn_matches_fuss_and_dyck(k, n):
     count = w_set_count(spec_for_Pkn(k, n))
     assert count == fuss_eulerian_catalan(k, n)
-    assert count == count_dyck_permutations(n, k)
+    assert count == count_dyck_permutations(k, n)
 
 
 @pytest.mark.parametrize("n,T", [(n, T) for n in (1, 2, 3) for T in all_subsets(n)])
@@ -175,15 +175,15 @@ def test_w_set_count_scale_cap(monkeypatch):
     budget = Budget()
     budget.charge(WORK_CAP - 2 * 404)
     monkeypatch.setattr(errors, "budget", budget)
-    assert w_set_count(spec) == count_dyck_permutations(8, 2)
+    assert w_set_count(spec) == count_dyck_permutations(2, 8)
     assert budget.filled == WORK_CAP
     with pytest.raises(ScaleCapError):
         w_set_count(spec)
 
 
 def test_exceedance_position_census_examples():
-    assert exceedance_position_census(1) == {(): 2, (1,): 2}
-    census = exceedance_position_census(2)
+    assert exceedance_position_census(2, 1) == {(): 2, (1,): 2}
+    census = exceedance_position_census(2, 2)
     assert census == {(): 22, (1,): 11, (2,): 11, (1, 2): 22}
     assert sum(census.values()) == eulerian(2, 5)
 
@@ -193,19 +193,19 @@ def test_position_census_walk_matches_brute_force(n):
     brute = Counter(
         exceedance_positions(ad_vector(w)) for w in enumerate_by_descent_count(2 * n + 1, n)
     )
-    census = exceedance_position_census(n)
+    census = exceedance_position_census(2, n)
     assert census == {T: brute[frozenset(t - 1 for t in T)] for T in all_subsets(n)}
     assert sum(census.values()) == sum(brute.values())
 
 
 def test_uncapped_walks_match_the_numbers():
     assert w_set_count(spec_for_Pkn(2, 50)) == eulerian_catalan(50)
-    assert sum(exceedance_position_census(10).values()) == eulerian(10, 21)
+    assert sum(exceedance_position_census(2, 10).values()) == eulerian(10, 21)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_census_entries_match_flipped_spec_counts(n):
-    census = exceedance_position_census(n)
+    census = exceedance_position_census(2, n)
     assert sum(census.values()) == eulerian(n, 2 * n + 1)
     for T, count in census.items():
         assert count == w_set_count(spec_for_Pkn(2, n, T))

@@ -155,7 +155,7 @@ def test_p2n_is_pkn_at_k_2(capsys):
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_pkn_flip_volume_is_its_flaw_set_count(capsys, k, n):
     # the flaw walk counts the W-set of P_{k,n}(T); it shares nothing with the Ehrhart DP
-    census = alcoved.exceedance_position_census(n, k)
+    census = alcoved.exceedance_position_census(k, n)
     volumes = {}
     for T in census:
         code, out, _ = run_cli(capsys, "volume", "--shape", "pkn", "--k", str(k),
@@ -316,10 +316,8 @@ def test_alcoved_vs_dyck_refuses_n_below_1(capsys):
             (2, "", "error: n must be >= 1\n")
 
 
-@pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
-def test_alcoved_vs_dyck_fails_on_a_wrong_walk(capsys, monkeypatch, k, n):
-    # both counts are rules of one walk, so a fault in it moves them together; the
-    # closed form, which runs no walk, is what catches it
+def plant_wrong_walk(monkeypatch):
+    """Each final count of the descent-word walk one too high."""
     real = permcore.descent_word_walk
 
     def inflated(m, d, step):
@@ -327,6 +325,55 @@ def test_alcoved_vs_dyck_fails_on_a_wrong_walk(capsys, monkeypatch, k, n):
 
     monkeypatch.setattr(permcore, "descent_word_walk", inflated)
     monkeypatch.setattr(paths, "descent_word_walk", inflated)  # bound at import
+
+
+def plant_wrong_alternating_sum(monkeypatch):
+    """Every Eulerian number of the closed form doubled."""
+    real = numbers.eulerian
+    monkeypatch.setattr(numbers, "eulerian", lambda m, n: 2 * real(m, n))
+
+
+def plant_wrong_lattice_dp(monkeypatch):
+    """Every lattice-point count doubled, at every dilation."""
+    real = geometry.count_dilated_lattice_points
+    monkeypatch.setattr(geometry, "count_dilated_lattice_points",
+                        lambda band, t: 2 * real(band, t))
+
+
+# one planted fault per engine, by the engine names of README's table
+ENGINE_FAULTS = {
+    "descent-walk": plant_wrong_walk,
+    "alternating-sum": plant_wrong_alternating_sum,
+    "lattice-dp": plant_wrong_lattice_dp,
+}
+
+# the engines each command reads, on any side of its report (README's table)
+ENGINES_READ = {
+    ("verify", "equidistribution"): {"descent-walk", "alternating-sum"},
+    ("verify", "alcoved-vs-dyck"): {"descent-walk", "alternating-sum"},
+    ("verify", "subdivision"): {"lattice-dp", "alternating-sum"},
+    ("verify", "census-vs-volumes"): {"descent-walk", "lattice-dp"},
+    ("volume", "--shape", "pkn", "--k", "2"): {"lattice-dp"},
+}
+
+
+@pytest.mark.parametrize("fault", ENGINE_FAULTS)
+@pytest.mark.parametrize("command", ENGINES_READ,
+                         ids=lambda command: command[1] if command[0] == "verify" else "volume")
+def test_a_faulty_engine_fails_every_command_that_reads_it(capsys, monkeypatch, command, fault):
+    # no command may pass on an engine it reads, and one that reads another engine
+    # is not disturbed
+    ENGINE_FAULTS[fault](monkeypatch)
+    code, _, _ = run_cli(capsys, *command, "--n", "2")
+    assert code == (1 if fault in ENGINES_READ[command] else 0)
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
+def test_alcoved_vs_dyck_fails_on_a_wrong_walk(capsys, monkeypatch, k, n):
+    # the matrix's one cell whose report is checked whole: both counts are rules of
+    # one walk, so a fault in it moves them together; the closed form, which runs no
+    # walk, is what catches it
+    plant_wrong_walk(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "alcoved-vs-dyck", "--k", str(k), "--n", str(n),
                            "--format", "json")
     expected = fuss_eulerian_catalan(k, n)
@@ -645,8 +692,8 @@ def test_hypersimplex_off_the_eulerian_number_exits_1(capsys, monkeypatch):
 def test_census_off_its_volume_exits_1(capsys, monkeypatch):
     real = alcoved.exceedance_position_census
 
-    def off_by_one(n, k):
-        census = real(n, k)
+    def off_by_one(k, n):
+        census = real(k, n)
         census[(1,)] += 1
         return census
 
@@ -658,8 +705,8 @@ def test_census_off_its_volume_exits_1(capsys, monkeypatch):
 
 
 def test_orbit_invariant_failure_exits_1(capsys, monkeypatch):
-    # every listed shift reads as exceedance 0
-    monkeypatch.setattr(orbit, "exceedance", lambda word: 0)
+    # no step is a flaw, so every listed shift reads as exceedance 0
+    monkeypatch.setattr(orbit, "is_flaw_step", lambda x, y, letter, k: False)
     assert run_cli(capsys, "orbit", "2", "4", "1", "5", "3") == (
         1, "", "error: internal invariant failed: "
                "exceedances [0, 0, 0] are not a permutation of 0..2\n")
@@ -689,9 +736,21 @@ def test_empty_or_flat_polytope_from_a_cli_spec_exits_1(capsys, monkeypatch, pla
         1, "", f"error: internal invariant failed: {message}\n")
 
 
+@pytest.mark.parametrize("shape", [("pkn", "--k", "2", "--n", "2"),
+                                   ("hypersimplex", "--k", "16", "--n", "32")],
+                         ids=["pkn", "hypersimplex"])
+def test_lattice_count_scaled_at_every_dilation_prints_no_volume(capsys, monkeypatch, shape):
+    # a count scaled at every t keeps h(-1) = 0, but the 0-fold dilate is one point
+    plant_wrong_lattice_dp(monkeypatch)
+    assert run_cli(capsys, "volume", "--shape", *shape) == (
+        1, "", "error: internal invariant failed: h(0) = 2, not 1: "
+               "a lattice-point count is wrong\n")
+
+
 def test_wrong_lattice_count_prints_no_volume(capsys, monkeypatch):
-    # the interpolant meets every h(0..d) it is given, wrong or not, so h(-1) = 0 is
-    # its one guard: one count off by one at any dilation must exit 1
+    # the interpolant meets every h(0..d) it is given, wrong or not, so a value
+    # known exactly is its guard: one count off by one at any dilation, h(0) too,
+    # moves h(-1) off 0 and must exit 1
     real = geometry.count_dilated_lattice_points
     wrong = {}
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
@@ -730,7 +789,7 @@ def test_indivisible_eulerian_catalan_number_exits_1(capsys, monkeypatch):
 
 
 def test_negative_volume_exits_1(capsys, monkeypatch):
-    # h = 1, 1, 0 meets h(1) >= 1, full degree and h(-1) = 0, but 2! h(t) = 2 + t - t^2
+    # h = 1, 1, 0 meets h(0) = 1, h(1) >= 1, full degree and h(-1) = 0, but 2! h(t) = 2 + t - t^2
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
                         lambda band, t: (1, 1, 0)[t])
     code, out, err = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "1", "--n", "3")

@@ -13,10 +13,14 @@ from eulercat.numbers import (
     eulerian_rows,
     fuss_eulerian_catalan,
 )
-from eulercat.paths import exceedance
 
 from conftest import brute_descent_census
-from oracles import column_walk_eulerian, enumerate_diagonal_paths, eulerian_catalan
+from oracles import (
+    column_walk_eulerian,
+    enumerate_diagonal_paths,
+    eulerian_catalan,
+    exceedance_positions,
+)
 
 
 def test_eulerian_small_values_against_brute_force():
@@ -79,10 +83,10 @@ def test_catalan_values_against_path_enumeration():
     # C(n) counts the diagonal paths with exceedance 0
 
     assert catalan(3) == sum(
-        1 for p in enumerate_diagonal_paths(3) if exceedance(p) == 0
+        1 for p in enumerate_diagonal_paths(3) if len(exceedance_positions(p)) == 0
     ) == 5
     assert catalan(8) == sum(
-        1 for p in enumerate_diagonal_paths(8) if exceedance(p) == 0
+        1 for p in enumerate_diagonal_paths(8) if len(exceedance_positions(p)) == 0
     ) == 1430
 
 

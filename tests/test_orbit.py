@@ -95,20 +95,20 @@ def test_orbit_is_well_defined_across_listed_shifts(n):
 
 
 def test_equidistribution_census_examples():
-    assert equidistribution_census(1) == {0: 2, 1: 2}
-    assert equidistribution_census(2) == {0: 22, 1: 22, 2: 22}
+    assert equidistribution_census(2, 1) == {0: 2, 1: 2}
+    assert equidistribution_census(2, 2) == {0: 22, 1: 22, 2: 22}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_census_partitions_the_central_descent_class(n):
-    census = equidistribution_census(n)
+    census = equidistribution_census(2, n)
     assert sum(census.values()) == eulerian(n, 2 * n + 1)
     assert set(census.values()) == {eulerian_catalan(n)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_mode_census_agrees_with_streaming(n):
-    assert orbit_census(n) == equidistribution_census(n)
+    assert orbit_census(n) == equidistribution_census(2, n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -116,7 +116,7 @@ def test_census_walk_matches_brute_force(n):
     brute = Counter(
         len(exceedance_positions(ad_vector(w))) for w in enumerate_by_descent_count(2 * n + 1, n)
     )
-    assert equidistribution_census(n) == {j: brute[j] for j in range(n + 1)}
+    assert equidistribution_census(2, n) == {j: brute[j] for j in range(n + 1)}
 
 
 @pytest.mark.parametrize("k,n", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2),
@@ -126,40 +126,40 @@ def test_dyck_walk_matches_brute_force(k, n):
     brute = sum(
         1 for w in enumerate_by_descent_count(k * n + k - 1, n) if is_k_ballot(ad_vector(w), k - 1)
     )
-    assert count_dyck_permutations(n, k) == brute
+    assert count_dyck_permutations(k, n) == brute
 
 
 def test_uncapped_walks_match_the_numbers():
-    assert set(equidistribution_census(31).values()) == {eulerian_catalan(31)}
-    assert count_dyck_permutations(50, 2) == eulerian_catalan(50)
-    assert count_dyck_permutations(20, 3) == fuss_eulerian_catalan(3, 20)
+    assert set(equidistribution_census(2, 31).values()) == {eulerian_catalan(31)}
+    assert count_dyck_permutations(2, 50) == eulerian_catalan(50)
+    assert count_dyck_permutations(3, 20) == fuss_eulerian_catalan(3, 20)
 
 
 def test_census_scale_cap(monkeypatch):
     # the walk's edge: census --n 30 fills 399,775 cells, --n 31 453,375
     budget = Budget()
     monkeypatch.setattr(errors, "budget", budget)
-    assert set(equidistribution_census(30).values()) == {eulerian_catalan(30)}
+    assert set(equidistribution_census(2, 30).values()) == {eulerian_catalan(30)}
     assert budget.filled == 399_775
     monkeypatch.setattr(errors, "budget", Budget())
     with pytest.raises(ScaleCapError):
-        equidistribution_census(31)
+        equidistribution_census(2, 31)
 
 
 def test_count_dyck_permutations_examples():
-    assert count_dyck_permutations(1, 2) == 2
+    assert count_dyck_permutations(2, 1) == 2
     assert count_dyck_permutations(2, 2) == 22
-    assert count_dyck_permutations(1, 3) == 13
+    assert count_dyck_permutations(3, 1) == 13
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_count_dyck_matches_fuss(k, n):
-    assert count_dyck_permutations(n, k) == fuss_eulerian_catalan(k, n)
+    assert count_dyck_permutations(k, n) == fuss_eulerian_catalan(k, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_count_dyck_equals_two_central_eulerian_rows(n):
-    assert count_dyck_permutations(n, 2) == eulerian(n - 1, 2 * n) + eulerian(n, 2 * n)
+    assert count_dyck_permutations(2, n) == eulerian(n - 1, 2 * n) + eulerian(n, 2 * n)
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4) for n in range(5)])
@@ -172,31 +172,31 @@ def test_flaw_count_is_uniform_at_higher_k(k, n):
 
     counts = descent_word_walk(k * n + k - 1, n, step)
     assert counts == {j: fuss_eulerian_catalan(k, n) for j in range(n + 1)}
-    assert counts[0] == count_dyck_permutations(n, k)
+    assert counts[0] == count_dyck_permutations(k, n)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_census_buckets_are_fuss_at_every_k(k):
     # the census against numbers' Eulerian recurrence, which reads no path
     for n in range(9):
-        assert equidistribution_census(n, k) == {j: fuss_eulerian_catalan(k, n)
+        assert equidistribution_census(k, n) == {j: fuss_eulerian_catalan(k, n)
                                                  for j in range(n + 1)}
 
 
 def test_census_rejects_bad_args():
-    for n, k, message in ((2, 1, "k must be >= 2"), (-1, 3, "n must be >= 0")):
+    for k, n, message in ((1, 2, "k must be >= 2"), (3, -1, "n must be >= 0")):
         with pytest.raises(ValueError, match=message):
-            equidistribution_census(n, k)
+            equidistribution_census(k, n)
 
 
 def test_count_dyck_rejects_bad_args(monkeypatch):
     with pytest.raises(ValueError):
-        count_dyck_permutations(2, 1)
+        count_dyck_permutations(1, 2)
     budget = Budget()
     budget.charge(WORK_CAP - 403)
     monkeypatch.setattr(errors, "budget", budget)
     with pytest.raises(ScaleCapError):
-        count_dyck_permutations(8, 2)  # the walk fills 404 cells
+        count_dyck_permutations(2, 8)  # the walk fills 404 cells
 
 
 def test_bijection_examples():

@@ -53,7 +53,7 @@ def test_record_json_shapes(monkeypatch):
         ],
     }
     # each coefficient of d! p(t) is rendered over d! in lowest terms, zero as 0/1:
-    # the counts h = 2, 1, 0, 2 give p(t) = 2 - 3/2 t^2 + 1/2 t^3, with p(-1) = 0
+    # the counts h = 1, 1, 3, 10 give p(t) = 1 - 1/2 t^2 + 1/2 t^3, with p(-1) = 0
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda band, t: (2, 1, 0, 2)[t])
-    assert ehrhart_volume(spec_for_Pkn(2, 1))["coefficients"] == ["2/1", "0/1", "-3/2", "1/2"]
+                        lambda band, t: (1, 1, 3, 10)[t])
+    assert ehrhart_volume(spec_for_Pkn(2, 1))["coefficients"] == ["1/1", "0/1", "-1/2", "1/2"]

@@ -68,6 +68,30 @@ def test_every_private_helper_is_named_in_src():
                   if named[node.name] == Counter(_names(node))[node.name]) == []
 
 
+def test_k_comes_before_n_and_has_no_default():
+    # every object of the paper is indexed by the pair (k, n): a function that takes
+    # both takes k first, and no k has a default, so no caller leans on k = 2 unseen
+    found, paired = [], set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [arg.arg for arg in positional + args.kwonlyargs]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            name = getattr(node, "name", "lambda")
+            if {"k", "n"} <= set(names):
+                paired.add(name)
+            if ("k" in {arg.arg for arg in defaulted}
+                    or {"k", "n"} <= set(names) and names.index("k") > names.index("n")):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert {"flaw_walk", "fuss_eulerian_catalan", "count_dyck_permutations"} <= paired
+    assert found == []
+
+
 def test_scale_cap_error_is_raised_in_one_place():
     # one work cap, charged through errors.Budget: a second cap would raise it elsewhere
     raised = [
