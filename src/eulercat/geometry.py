@@ -13,31 +13,31 @@ row's prefix sums.  An empty polytope has a crossed band, some lo_i > hi_i,
 and its dilates t >= 1 run no DP.  The counts at dilations t = 0..d
 determine d! times the Ehrhart polynomial, whose coefficients are
 integers, by Newton forward differences; its leading coefficient is the
-normalized volume.  Subdivision probes are exactly uniform lattice points
-of the dilated hypersimplex, drawn by inverse CDF from the same DP's
-prefix tables, and are tested as integer numerators over one common
-denominator against the rotated bounds of the P_{k,n} spec whose volume is
-counted.  Nothing here consults the permutation-counting route, so the two
-volume computations cross-check each other.
+normalized volume.  Subdivision probes are exactly uniform alcoves of the
+hypersimplex, drawn as permutations by descent-preserving insertion with
+Eulerian-number weights, each probed at its alcove point: integer
+numerators over N that lie on no cyclic wall, tested strictly against the
+rotated bounds of the P_{k,n} spec whose volume is counted.  Nothing here
+consults the permutation-counting route, so the two volume computations
+cross-check each other.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
 from .errors import DegenerateDimensionError, InvariantError, charge
-from .numbers import fuss_eulerian_catalan
+from .numbers import eulerian, fuss_eulerian_catalan
 
 if TYPE_CHECKING:
     import random
 
 PROBE_SAMPLES = 120
 PROBE_SEED = 271828
-PROBE_DENOMINATOR = 97
 
 
 def _windows(spec: AlcovedSpec) -> list[tuple[int, int]]:
@@ -67,37 +67,28 @@ def _windows(spec: AlcovedSpec) -> list[tuple[int, int]]:
     return band
 
 
-def _prefix_tables(band: Sequence[tuple[int, int]], t: int) -> Iterator[tuple[int, list[int]]]:
-    """
-    The DP over the t-fold dilate of an uncrossed band, one coordinate x_i in 0..t per
-    step: yields (t * lo_i, prefix_i), i = 1..N, where prefix_i holds row i-1's prefix
-    sums padded with zeros to the sums t * (lo_i - 1) .. t * hi_i, so row i counts sum s
-    as prefix_i[s - t * lo_i + t + 1] - prefix_i[s - t * lo_i].  Charges its cells first.
-    """
-    charge(len(band) + t * sum(hi - lo for lo, hi in band))
-    row = [1]
-    for (plo, phi), (lo, hi) in zip(band, band[1:]):
-        prefix = [0] * (t * (plo - lo + 1) + 1)
-        prefix += itertools.accumulate(row)
-        prefix += [prefix[-1]] * (t * (hi - phi))
-        yield t * lo, prefix
-        row = list(map(operator.sub, prefix[t + 1 :], prefix))
-
-
 def count_dilated_lattice_points(band: Sequence[tuple[int, int]], t: int) -> int:
     """
     Number of integer points of the t-fold dilate of the polytope whose band
     _windows built: 0 <= x_i <= t, sum x_i = t * level_k, prefix sums within
-    t-scaled bounds.  A crossed band counts 0 at t >= 1 and runs no DP.
+    t-scaled bounds.  A crossed band counts 0 at t >= 1 and runs no DP; any
+    other charges its cells first, then takes one coordinate x_i in 0..t per step.
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
     if t and any(lo > hi for lo, hi in band):
         return 0
-    for _, prefix in _prefix_tables(band, t):
-        pass
+    charge(len(band) + t * sum(hi - lo for lo, hi in band))
+    row = [1]
+    for (plo, phi), (lo, hi) in zip(band, band[1:]):
+        # row i-1's prefix sums, padded with zeros to the sums t * (lo_i - 1) .. t * hi_i,
+        # so row i counts sum s as prefix[s - t * lo_i + t + 1] - prefix[s - t * lo_i]
+        prefix = [0] * (t * (plo - lo + 1) + 1)
+        prefix += itertools.accumulate(row)
+        prefix += [prefix[-1]] * (t * (hi - phi))
+        row = list(map(operator.sub, prefix[t + 1 :], prefix))
     # the last window is the one sum t * level_k = t * lo_N
-    return prefix[t + 1] - prefix[0]
+    return row[0]
 
 
 def interpolate_at_integers(values: Sequence[int]) -> list[int]:
@@ -175,71 +166,69 @@ def ehrhart_volume(spec: AlcovedSpec) -> dict:
     }
 
 
-def _piece_memberships(
-    spec: AlcovedSpec, k: int, numerators: Sequence[int]
-) -> tuple[list[bool], list[bool]]:
+def _piece_memberships(spec: AlcovedSpec, k: int, numerators: Sequence[int]) -> list[bool]:
     """
-    Closed and interior membership of the point numerators/PROBE_DENOMINATOR in
-    each cyclic piece: piece i is spec with its coordinates rotated by k*i,
-    so it holds lower <= x_{ki+1} + ... + x_{ki+j} <= upper (strictly inside)
-    for every bound of spec, indices mod ambient_n, read off one circular
-    prefix sum of the numerators.
+    Whether the point numerators/N, N = spec.ambient_n, is strictly inside each
+    cyclic piece: piece i is spec with its coordinates rotated by k*i, so it
+    holds lower < x_{ki+1} + ... + x_{ki+j} < upper for every bound of spec,
+    indices mod N, read off one circular prefix sum of the numerators.  A point
+    on a wall is in no piece that the wall bounds.
     """
     prefix = [0, *itertools.accumulate(itertools.chain(numerators, numerators))]
     # each side of a bound as (j, sign, limit): its slack is sign * (limit - sum)
-    d = PROBE_DENOMINATOR
+    d = spec.ambient_n
     sides = [(bd.j, 1, d * bd.upper) for bd in spec.bounds if bd.upper is not None]
     sides += [(bd.j, -1, d * bd.lower) for bd in spec.bounds if bd.lower is not None]
-    closed, interior = [], []
-    for start in range(0, spec.ambient_n, k):
-        base = prefix[start]
-        slack = min(sign * (limit - prefix[start + j] + base) for j, sign, limit in sides)
-        closed.append(slack >= 0)
-        interior.append(slack > 0)
-    return closed, interior
+    return [
+        min(sign * (limit - prefix[start + j] + prefix[start]) for j, sign, limit in sides) > 0
+        for start in range(0, d, k)
+    ]
 
 
-def _sample_hypersimplex_points(
-    spec: AlcovedSpec, count: int, rng: random.Random
+def _sample_alcove_points(
+    ambient_n: int, level_k: int, count: int, rng: random.Random
 ) -> list[tuple[int, ...]]:
     """
-    Numerators of count exactly uniform lattice points of PROBE_DENOMINATOR
-    times spec.  The lattice-count DP of the dilate keeps each step's prefix
-    table; walking back from the full sum, each coordinate is drawn by
-    inverse CDF, one randrange and one bisect per coordinate.  The band and
-    the DP charge the command's budget, as for count_dilated_lattice_points.
+    Numerators over N = ambient_n of the alcove points of count exactly uniform
+    alcoves of Delta(level_k, N).  Its alcoves are the w in S_{N-1} with level_k - 1
+    descents, built by inserting 2..N-1 one at a time: r at the end or into a
+    descent keeps the count, at the front or into an ascent raises it, so
+    A(m, r) = (m+1) A(m, r-1) + (r-m) A(m-1, r-1).  Each step's kind is drawn
+    backward in proportion to its term, then r goes to a uniform slot of that
+    kind.  The alcove point x_i = y_i - y_{i-1}, with y_i = N des(w_1..w_i) + w_i,
+    y_0 = 0 and y_N = N level_k, is x_i = (w_i - w_{i-1}) mod N with w_0 = w_N = 0:
+    a cyclic window sums to the difference of two distinct residues mod N, so no
+    wall x_a + ... + x_b = integer passes through it.
     """
-    t = PROBE_DENOMINATOR
-    tables = list(_prefix_tables(_windows(spec), t))
-    tables.reverse()
+    weight = functools.cache(eulerian)
     points = []
     for _ in range(count):
-        coords, s = [], t * spec.level_k
-        for lo, prefix in tables:
-            # prefix[m] counts the paths to sums below lo - t + m, so the sum
-            # lo - t + m with prefix[m] <= u < prefix[m + 1] is drawn in
-            # proportion to its count, from the sums s - t .. s
-            base = s - lo
-            u = prefix[base] + rng.randrange(prefix[base + t + 1] - prefix[base])
-            previous_sum = lo - t + bisect_right(prefix, u, base, base + t + 1) - 1
-            coords.append(s - previous_sum)
-            s = previous_sum
-        coords.reverse()
-        points.append(tuple(coords))
+        raised, m = [], level_k - 1
+        for r in range(ambient_n - 1, 1, -1):
+            raised.append(rng.randrange(weight(m, r)) >= (m + 1) * weight(m, r - 1))
+            m -= raised[-1]
+        w = [1]
+        for r, raises in zip(range(2, ambient_n), reversed(raised)):
+            # slot i lies between padded[i] and padded[i + 1]: the front and the ascents raise
+            padded = [0, *w, 0]
+            w.insert(rng.choice([i for i in range(r) if (padded[i] < padded[i + 1]) == raises]), r)
+        points.append(tuple((b - a) % ambient_n for a, b in zip([0, *w], [*w, 0])))
     return points
 
 
 def _probe_point(numerators: Sequence[int]) -> str:
-    return "(" + ", ".join(_ratio(c, PROBE_DENOMINATOR) for c in numerators) + ")"
+    # an alcove point of Delta(level_k, N) has N numerators over N
+    return "(" + ", ".join(_ratio(c, len(numerators)) for c in numerators) + ")"
 
 
 def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     """
     Check that n+1 copies of P_{k,n} fill the hypersimplex volume and
-    probe random rational points for coverage and disjoint interiors.
-    Piece i is P_{k,n} with coordinates rotated by k*i, which maps
-    lattice points to lattice points, so one Ehrhart count serves all
-    n+1 pieces; the probes test each rotated piece separately.
+    probe uniform alcoves at their alcove points for coverage and disjoint
+    interiors.  Piece i is P_{k,n} with coordinates rotated by k*i, which
+    maps lattice points to lattice points, so one Ehrhart count serves all
+    n+1 pieces; the probes test each rotated piece separately, and a probe
+    lies on no wall, so it must be inside exactly one piece.
     Returns (ok, what was measured).
     """
     failures: list[str] = []
@@ -248,8 +237,7 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     volumes = [piece] * (n + 1)
 
     N = k * (n + 1)
-    hypersimplex = spec_for_hypersimplex(n + 1, N)
-    hyper = ehrhart_volume(hypersimplex)["normalized_volume"]
+    hyper = ehrhart_volume(spec_for_hypersimplex(n + 1, N))["normalized_volume"]
     expected_piece = fuss_eulerian_catalan(k, n)  # A(n, N-1)/(n+1), checked exact
     expected_total = (n + 1) * expected_piece
     # these two checks imply that the pieces sum to the hypersimplex
@@ -260,23 +248,17 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
 
     import random
 
-    points = _sample_hypersimplex_points(hypersimplex, PROBE_SAMPLES, random.Random(PROBE_SEED))
     interior_hits = [0] * (n + 1)
-    for numerators in points:
-        member, interior = _piece_memberships(pkn, k, numerators)
-        if not any(member):
+    for numerators in _sample_alcove_points(N, n + 1, PROBE_SAMPLES, random.Random(PROBE_SEED)):
+        pieces = [i for i, inside in enumerate(_piece_memberships(pkn, k, numerators)) if inside]
+        if not pieces:
             failures.append(f"point {_probe_point(numerators)} is covered by no piece")
-            continue
-        for i in range(n + 1):
-            if not interior[i]:
-                continue
+        for i in pieces:
             interior_hits[i] += 1
-            for j in range(n + 1):
-                if j != i and member[j]:
-                    failures.append(
-                        f"point {_probe_point(numerators)} is interior to piece {i} "
-                        f"but also in piece {j}"
-                    )
+            failures += (
+                f"point {_probe_point(numerators)} is interior to piece {i} but also in piece {j}"
+                for j in pieces if j != i
+            )
     return not failures, {
         "piece_volumes": volumes,
         "total_volume": sum(volumes),

@@ -595,7 +595,7 @@ def test_verify_reports_name_k(capsys):
         ("alcoved-vs-dyck", 3, {"alcoved_count": 13, "dyck_count": 13, "expected": 13}),
         ("subdivision", 2, {
             "piece_volumes": [2, 2], "total_volume": 4, "hypersimplex_volume": 4,
-            "expected_piece_volume": 2, "interior_hits": [60, 58], "failures": []}),
+            "expected_piece_volume": 2, "interior_hits": [59, 61], "failures": []}),
     ]:
         code, out, _ = run_cli(capsys, "verify", target, "--k", str(k), "--n", "1",
                                "--format", "json")
@@ -640,17 +640,15 @@ def test_closed_stdout_exits_141_when_unbuffered():
 def test_overlapping_probe_exits_1(capsys, monkeypatch):
     # every probe point reads as interior to every piece
     monkeypatch.setattr(geometry, "_piece_memberships",
-                        lambda spec, k, numerators:
-                        ([True] * (spec.ambient_n // k),) * 2)
+                        lambda spec, k, numerators: [True] * (spec.ambient_n // k))
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1
     assert out.startswith("FAIL") and "is interior to piece 0 but also in piece 1" in out
 
 
-def test_probe_on_the_boundary_of_an_overlapping_piece_exits_1(capsys, monkeypatch):
-    # no true probe is interior to one piece and on the boundary of another, so
-    # loosen P_{2,2} to x_1 + x_2 <= 2 and probe one point that is: interior to
-    # piece 0, and in piece 1 with x_3 + x_4 + x_5 + x_6 = 2 on its bound
+def test_probe_inside_two_loosened_pieces_exits_1(capsys, monkeypatch):
+    # no true probe is inside two pieces, so loosen P_{2,2} to x_1 + x_2 <= 2 and
+    # probe the alcove point of w = 2 4 3 5 1, which is inside pieces 0 and 2
     real = geometry.spec_for_Pkn
 
     def loosened(k, n, flipped=()):
@@ -660,22 +658,21 @@ def test_probe_on_the_boundary_of_an_overlapping_piece_exits_1(capsys, monkeypat
                                    (first._replace(upper=first.upper + 1), *rest))
 
     monkeypatch.setattr(geometry, "spec_for_Pkn", loosened)
-    monkeypatch.setattr(geometry, "_sample_hypersimplex_points",
-                        lambda spec, count, rng: [(48, 49, 24, 24, 73, 73)])
+    monkeypatch.setattr(geometry, "_sample_alcove_points",
+                        lambda ambient_n, level_k, count, rng: [(2, 2, 5, 2, 2, 5)])
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--n", "2", "--format", "json")
     assert code == 1
     assert json.loads(out)["failures"] == [
         "piece volume 33 != expected 22",
-        "point (48/97, 49/97, 24/97, 24/97, 73/97, 73/97) is interior to piece 0 "
-        "but also in piece 1",
+        "point (1/3, 1/3, 5/6, 1/3, 1/3, 5/6) is interior to piece 0 but also in piece 2",
+        "point (1/3, 1/3, 5/6, 1/3, 1/3, 5/6) is interior to piece 2 but also in piece 0",
     ]
 
 
 def test_uncovered_probe_exits_1(capsys, monkeypatch):
     # every probe point reads as outside every piece
     monkeypatch.setattr(geometry, "_piece_memberships",
-                        lambda spec, k, numerators:
-                        ([False] * (spec.ambient_n // k),) * 2)
+                        lambda spec, k, numerators: [False] * (spec.ambient_n // k))
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1 and out.startswith("FAIL subdivision")
     assert re.search(r"point \([0-9/, ]+\) is covered by no piece", out)

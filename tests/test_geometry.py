@@ -237,7 +237,8 @@ def test_empty_dilate_is_a_crossed_window_and_runs_no_dp(spec, monkeypatch):
     band = geometry._windows(spec)
     assert any(lo > hi for lo, hi in band)
     assert count_dilated_lattice_points(band, 0) == 1  # the 0-fold dilate is the point 0
-    monkeypatch.setattr(geometry, "_prefix_tables", None)
+    # the DP's first step is its charge, so a DP that ran would call None
+    monkeypatch.setattr(geometry, "charge", None)
     assert [count_dilated_lattice_points(band, t) for t in range(1, 5)] == [0] * 4
 
 
@@ -266,26 +267,36 @@ def test_dp_windows_are_exactly_the_feasible_prefix_sums_at_checkpoints(spec, t)
     assert_windows_are_the_feasible_prefix_sums(spec, t)
 
 
-def test_probes_are_uniform_on_the_lattice_points(monkeypatch):
-    # 2 * Delta(2, 4): the 19 points of {0, 1, 2}^4 summing to 4, each drawn 2000
+def descents(w):
+    return sum(a > b for a, b in zip(w, w[1:]))
+
+
+def alcove_point(w, N):
+    # x_i = y_i - y_{i-1} over N, y_i = N des(w_1..w_i) + w_i, y_0 = 0, y_N = N level
+    y = [0, *(N * descents(w[: i + 1]) + w[i] for i in range(len(w))), N * (descents(w) + 1)]
+    return tuple(b - a for a, b in zip(y, y[1:]))
+
+
+def test_probes_are_uniform_on_the_alcoves():
+    # Delta(2, 5): the 11 alcoves of the w in S_4 with one descent, each drawn 2000
     # times on average
-    monkeypatch.setattr(geometry, "PROBE_DENOMINATOR", 2)
-    draws = geometry._sample_hypersimplex_points(
-        spec_for_hypersimplex(2, 4), 38_000, random.Random(5))
+    draws = geometry._sample_alcove_points(5, 2, 22_000, random.Random(5))
     hits = Counter(draws)
-    assert set(hits) == set(naive_lattice_points(spec_for_hypersimplex(2, 4), 2))
+    assert set(hits) == {
+        alcove_point(w, 5) for w in itertools.permutations(range(1, 5)) if descents(w) == 1}
     assert all(1800 <= c <= 2200 for c in hits.values()), hits
 
 
-def test_probes_lie_on_the_dilated_hypersimplex():
-    d = geometry.PROBE_DENOMINATOR
-    points = geometry._sample_hypersimplex_points(
-        spec_for_hypersimplex(6, 24), 120, random.Random(geometry.PROBE_SEED))
+def test_probes_lie_on_no_wall_of_the_hypersimplex():
+    points = geometry._sample_alcove_points(24, 6, 120, random.Random(geometry.PROBE_SEED))
     assert len(points) == 120
     for numerators in points:
         assert len(numerators) == 24
-        assert all(0 <= c <= d for c in numerators)
-        assert sum(numerators) == d * 6
+        assert sum(numerators) == 24 * 6
+        # every cyclic window x_a + ... + x_b, a <= b < a + 23, is off the integers
+        doubled = numerators * 2
+        assert all(sum(doubled[a : a + length]) % 24
+                   for a in range(24) for length in range(1, 24))
 
 
 def test_ehrhart_degenerate_polytope_is_reported():
@@ -330,13 +341,15 @@ def test_ehrhart_at_scale():
     assert verify_subdivision(2, 8)[0]
 
 
-@pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("k,n", [
+    *((2, n) for n in range(1, 13)), *((3, n) for n in range(1, 6)), (4, 3), (5, 2)])
 def test_verify_subdivision_passes(k, n):
     ok, report = verify_subdivision(k, n)
     assert ok, report["failures"]
     assert set(report["piece_volumes"]) == {fuss_eulerian_catalan(k, n)}
     assert report["total_volume"] == eulerian(n, k * (n + 1) - 1)
-    assert sum(report["interior_hits"]) > 0
+    # an alcove point lies on no wall, so each probe is inside exactly one piece
+    assert sum(report["interior_hits"]) == geometry.PROBE_SAMPLES
     assert len(report["piece_volumes"]) == n + 1
 
 
@@ -345,20 +358,31 @@ def test_verify_subdivision_passes(k, n):
     (2, 3, {1, 3}),  # lower bounds: x_1 + x_2 >= 1 and x_1 + ... + x_6 >= 3
 ], ids=["2-1", "2-2", "3-1", "2-3", "2-3-flipped-1-3"])
 def test_integer_membership_matches_fraction_sums(k, n, flipped):
-    # the spec-reading membership against the inequalities of P_{k,n}(T) written out
-    rng = random.Random(geometry.PROBE_SEED)
-    hypersimplex = spec_for_hypersimplex(n + 1, k * (n + 1))
-    points = geometry._sample_hypersimplex_points(hypersimplex, geometry.PROBE_SAMPLES, rng)
+    # the spec-reading membership against the inequalities of P_{k,n}(T) written out;
+    # an alcove point is on no wall, so it is in a piece's closure just when inside it
+    N = k * (n + 1)
+    points = geometry._sample_alcove_points(
+        N, n + 1, geometry.PROBE_SAMPLES, random.Random(geometry.PROBE_SEED))
     assert len(points) == geometry.PROBE_SAMPLES
-    d = geometry.PROBE_DENOMINATOR
     spec = spec_for_Pkn(k, n, flipped)
     for numerators in points:
-        point = tuple(Fraction(c, d) for c in numerators)
-        closed, interior = geometry._piece_memberships(spec, k, numerators)
-        assert closed == [
-            fraction_piece_membership(k, n, i, point, False, flipped) for i in range(n + 1)]
-        assert interior == [
-            fraction_piece_membership(k, n, i, point, True, flipped) for i in range(n + 1)]
+        point = tuple(Fraction(c, N) for c in numerators)
+        inside = geometry._piece_memberships(spec, k, numerators)
+        for strict in (True, False):
+            assert inside == [
+                fraction_piece_membership(k, n, i, point, strict, flipped) for i in range(n + 1)]
+
+
+def test_membership_is_strict_on_a_wall():
+    # (1/2, 1/2, 1/3, 1/3, 2/3, 2/3) in P_{2,2}: x_1 + x_2 = 1 is on a wall of piece 0,
+    # and x_3 + ... + x_6 = 2 on a wall of piece 1; x_5 + x_6 > 1 puts it outside piece 2
+    numerators = (3, 3, 2, 2, 4, 4)
+    point = tuple(Fraction(c, 6) for c in numerators)
+    assert [fraction_piece_membership(2, 2, i, point, False) for i in range(3)] == \
+        [True, True, False]
+    assert geometry._piece_memberships(spec_for_Pkn(2, 2), 2, numerators) == \
+        [fraction_piece_membership(2, 2, i, point, True) for i in range(3)] == \
+        [False, False, False]
 
 
 def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
@@ -367,14 +391,14 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
 
     def overlap_first_point(spec, k, numerators):
         seen.append(numerators)
-        closed, interior = real(spec, k, numerators)
+        inside = real(spec, k, numerators)
         if len(seen) == 1:
-            closed[:2] = interior[:2] = [True, True]
-        return closed, interior
+            inside[:2] = [True, True]
+        return inside
 
     monkeypatch.setattr(geometry, "_piece_memberships", overlap_first_point)
     ok, report = verify_subdivision(2, 1)
-    coords = (Fraction(c, geometry.PROBE_DENOMINATOR) for c in seen[0])
+    coords = (Fraction(c, 4) for c in seen[0])
     point = "(" + ", ".join(f"{f.numerator}/{f.denominator}" for f in coords) + ")"
     assert not ok
     assert report["failures"] == [
@@ -420,9 +444,9 @@ def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
     monkeypatch.setattr(geometry, "_windows", building)
     assert verify_subdivision(2, 2)[0]
     # P_{2,2} and Delta(3, 6), each at dilations t = 0..5 of its one band; the probes
-    # build the hypersimplex band once more for t = 97
+    # draw alcoves and build no band
     pkn, hyper = spec_for_Pkn(2, 2), spec_for_hypersimplex(3, 6)
-    assert bands == [pkn, hyper, hyper]
+    assert bands == [pkn, hyper]
     assert len(calls) == 12
     assert calls == [(windows(pkn), t) for t in range(6)] + [(windows(hyper), t) for t in range(6)]
 
