@@ -104,9 +104,14 @@ def test_is_dyck_permutation_examples():
 
 
 def test_exceedance_examples():
-    assert exceedance_positions((0, 1)) == frozenset()
+    assert len(exceedance_positions((0, 1))) == 0
+    assert len(exceedance_positions((1, 0))) == 1
+    assert len(exceedance_positions((0, 0, 0, 1, 1, 1))) == 0
+
+
+def test_exceedance_positions_examples():
     assert exceedance_positions((1, 0)) == {0}
-    assert exceedance_positions((0, 0, 0, 1, 1, 1)) == frozenset()
+    assert exceedance_positions((0, 1)) == frozenset()
     assert exceedance_positions((1, 1, 0, 0)) == {0, 1}
 
 
