@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--force", action="store_true", help=(
                 f"lift the work cap of {WORK_CAP} cells that the command's counts "
                 "and volumes share"))
-        p.set_defaults(run=run, force=not capped)  # no cap, so no budget to charge
+        p.set_defaults(run=run, force=False)  # an uncapped command fills no cells
         return p
 
     p = command("eulerian-row", _cmd_eulerian_row, "one row of the Eulerian triangle")
@@ -294,7 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # read under the limit), and every engine call of the command charges one budget
     limit, budget = sys.get_int_max_str_digits(), errors.budget
     try:
-        errors.budget = None if args.force else Budget()
+        errors.budget = Budget(None if args.force else WORK_CAP)
         sys.set_int_max_str_digits(0)
         code, text = args.run(args)
         _write_stdout(text)

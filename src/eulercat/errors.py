@@ -15,28 +15,28 @@ class ScaleCapError(Exception):
 
 
 class Budget:
-    """The cells one command may fill; every engine call it makes charges the same budget."""
+    """The cells one command fills, over all its engine calls; past `limit` it refuses."""
 
-    __slots__ = ("filled",)
+    __slots__ = ("limit", "filled")
 
-    def __init__(self):
+    def __init__(self, limit: int | None = WORK_CAP):
+        self.limit = limit
         self.filled = 0
 
     def charge(self, cells: int) -> None:
         self.filled += cells
-        if self.filled > WORK_CAP:
-            raise ScaleCapError(f"the work passes the cap of {WORK_CAP} cells")
+        if self.limit is not None and self.filled > self.limit:
+            raise ScaleCapError(f"the work passes the cap of {self.limit} cells")
 
 
-# the running command's budget, which cli.main sets and restores: None outside a command,
-# under --force and for an uncapped command, so a library call runs uncapped unless set
-budget: Budget | None = None
+# the running command's budget, which cli.main sets and restores; outside a command it
+# has no limit, so a library call is counted but never refused
+budget = Budget(None)
 
 
 def charge(cells: int) -> None:
-    """Charge the running command's budget, if it has one: every engine fills cells here."""
-    if budget is not None:
-        budget.charge(cells)
+    """Charge the running command's budget: every engine fills cells here."""
+    budget.charge(cells)
 
 
 class InvariantError(Exception):

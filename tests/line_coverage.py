@@ -1,31 +1,33 @@
 """
-Statement coverage of src/eulercat under the tier-1 suite, by the stdlib tracer.
+Line coverage of src/eulercat under the tier-1 suite, by the stdlib tracer.
 
     python tests/line_coverage.py
 
 Runs tier-1 in this process under sys.settrace, with Hypothesis derandomized
 (the same examples every run) and without deadlines (tracing slows every
-test), and records each line of src/eulercat that runs.  A statement ran when
-a line event fell on one of its own lines: every line of a simple statement,
-the header lines (`if ...:`, `else:`, `except ...:`, `finally:`, ...) of a
-compound one.  Docstrings and the body of `if TYPE_CHECKING:` are no code
-that runs, so they are not statements here.
+test), and records each line of src/eulercat that gets a line event.  The
+lines to run are those that hold bytecode, read off the line table of each
+code object that compiling the file gives (co_lines()), so every line of a
+multi-line statement that holds code must run.  A docstring of a function or
+class, an `else:` or a closing bracket holds none.  The model is CPython
+3.11's line table: a later CPython inlines comprehensions into their
+function, which moves their lines to another scope.
 
-Exit status: pytest's, if a test fails; otherwise 1 if a statement never ran
-and ALLOWED does not name it, or ALLOWED names a statement that ran or is
-gone; otherwise 0.  pytest does not collect this file.
+Exit status: pytest's, if a test fails; otherwise 1 if a line never ran and
+ALLOWED does not name it, or ALLOWED names a line that ran or is gone;
+otherwise 0.  pytest does not collect this file.
 """
-import ast
 import os
 import sys
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "eulercat"
 
-# (function, first line of the statement) -> why no in-process test runs it
+# (scope, text of the line) -> why no in-process test runs it
 ALLOWED = {
     ("cli.main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
         "only a reader that closes stdout mid-write reaches it; test_cli runs that in a subprocess",
@@ -33,45 +35,22 @@ ALLOWED = {
         "only a reader that closes stdout mid-write reaches it; test_cli runs that in a subprocess",
     ("cli", "sys.exit(main())"):
         "runs only as `python -m eulercat.cli`, which test_cli runs in a subprocess",
+    ("geometry", "import random"):
+        "the `if TYPE_CHECKING:` import, which only a type checker reads",
 }
 
 
-def _span(node: ast.stmt) -> set[int]:
-    return set(range(node.lineno, node.end_lineno + 1))
-
-
-def _bodies(node: ast.stmt):
-    """The statement lists nested in node, but for the body of `if TYPE_CHECKING:`."""
-    if not (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
-            and node.test.id == "TYPE_CHECKING"):
-        yield getattr(node, "body", [])
-    yield getattr(node, "orelse", [])
-    yield getattr(node, "finalbody", [])
-    for handler in getattr(node, "handlers", ()):
-        yield handler.body
-
-
-def statements(path: Path):
-    """(function, first line, line number, own lines) of each statement of one file."""
-    source = path.read_text()
-    text = source.splitlines()
-
-    def visit(body, scope):
-        for node in body:
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
-                    and isinstance(node.value.value, str):
-                continue
-            bodies = list(_bodies(node))
-            own = _span(node).difference(*(_span(stmt) for b in bodies for stmt in b))
-            yield scope, text[node.lineno - 1].strip(), node.lineno, own
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{node.name}"
-            else:
-                inner = scope
-            for b in bodies:
-                yield from visit(b, inner)
-
-    yield from visit(ast.parse(source, filename=str(path)).body, path.stem)
+def code_lines(path: Path) -> set[tuple[str, int]]:
+    """(scope, line) of each line of one file that holds bytecode; the scope is the
+    module stem, or `<stem>.<qualname>` inside a function or class."""
+    lines, codes = set(), [compile(path.read_text(), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        codes.extend(const for const in code.co_consts if isinstance(const, CodeType))
+        scope = path.stem if code.co_name == "<module>" else f"{path.stem}.{code.co_qualname}"
+        # the module's RESUME sits on line 0, and some instructions have no line
+        lines.update((scope, line) for _, _, line in code.co_lines() if line)
+    return lines
 
 
 def pytest_configure(config):
@@ -129,16 +108,18 @@ def main() -> int:
         return 1
     missed = {}
     for path in files:
-        for scope, line, lineno, own in statements(path):
-            if not own & ran[str(path)]:
-                missed.setdefault((scope, line), []).append(f"{path.name}:{lineno}")
+        text = path.read_text().splitlines()
+        for scope, line in sorted(code_lines(path)):
+            if line not in ran[str(path)]:
+                key = scope, text[line - 1].strip()
+                missed.setdefault(key, []).append(f"{path.name}:{line}")
     unexplained = sorted(key for key in missed if key not in ALLOWED)
     stale = sorted(key for key in ALLOWED if key not in missed)
     for key, where in sorted(missed.items()):
         status = f"allowed: {ALLOWED[key]}" if key in ALLOWED else "NOT RUN"
         print(f"{', '.join(where)} {key[0]}: {key[1]}  [{status}]")
     for scope, line in stale:
-        print(f"stale allowlist entry, the statement ran or is gone: {scope}: {line}")
+        print(f"stale allowlist entry, the line ran or is gone: {scope}: {line}")
     return 1 if unexplained or stale else 0
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from eulercat import alcoved, errors, geometry, numbers, orbit, paths, permcore
+from eulercat import alcoved, cli, errors, geometry, numbers, orbit, paths, permcore
 from eulercat.cli import build_parser, main
 from eulercat.errors import WORK_CAP, Budget
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
@@ -245,8 +245,8 @@ def test_each_command_has_a_fresh_budget(capsys):
 @pytest.mark.parametrize("planted", [False, True], ids=["none", "planted"])
 def test_main_gives_back_the_callers_budget(capsys, monkeypatch, planted):
     # the budget lasts one command: after every exit the caller's value is back, and a
-    # caller's full budget is neither read nor charged by the command
-    callers = None
+    # caller's budget, unlimited or full, is neither read nor charged by the command
+    callers = Budget(None)
     if planted:
         callers = Budget()
         callers.charge(WORK_CAP)
@@ -263,8 +263,7 @@ def test_main_gives_back_the_callers_budget(capsys, monkeypatch, planted):
         main(["census", "--n", "x"])
     assert exc.value.code == 2
     assert errors.budget is callers
-    if planted:
-        assert callers.filled == WORK_CAP
+    assert callers.filled == (WORK_CAP if planted else 0)
 
 
 def test_force_lifts_the_cap(capsys):
@@ -280,6 +279,26 @@ def test_force_lifts_the_cap(capsys):
     code, out, _ = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "22",
                            "--n", "43", "--format", "csv")
     assert code == 0 and out == f"shape,dimension,volume\nhypersimplex,42,{eulerian(21, 42)}\n"
+
+
+def test_force_lifts_the_limit_not_the_meter(capsys, monkeypatch):
+    # census --n 31 fills 453,375 cells on one budget with no limit; an uncapped
+    # command runs on a capped budget and fills none
+    built = []
+
+    def recording(limit):
+        built.append(Budget(limit))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "Budget", recording)
+    for argv in (["census", "--n", "31", "--force"], ["ec", "--max-n", "30"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    assert [(budget.limit, budget.filled) for budget in built] == \
+        [(None, 453_375), (WORK_CAP, 0)]
+    # outside a command the budget counts but never refuses
+    assert isinstance(errors.budget, Budget) and errors.budget.limit is None
+    Budget(None).charge(10 ** 12)
 
 
 @pytest.mark.parametrize("argv", [
@@ -340,11 +359,23 @@ def plant_wrong_lattice_dp(monkeypatch):
                         lambda band, t: 2 * real(band, t))
 
 
+def plant_wrong_half_rows(monkeypatch):
+    """Each entry of every half that the Eulerian row walk yields one too high."""
+    real = numbers.eulerian_rows
+
+    def inflated(n, width):
+        for lo, half in real(n, width):
+            yield lo, [count + 1 for count in half]
+
+    monkeypatch.setattr(numbers, "eulerian_rows", inflated)
+
+
 # one planted fault per engine, by the engine names of README's table
 ENGINE_FAULTS = {
     "descent-walk": plant_wrong_walk,
     "alternating-sum": plant_wrong_alternating_sum,
     "lattice-dp": plant_wrong_lattice_dp,
+    "half-row-walk": plant_wrong_half_rows,
 }
 
 # the engines each command reads, on any side of its report (README's table)
@@ -366,6 +397,13 @@ def test_a_faulty_engine_fails_every_command_that_reads_it(capsys, monkeypatch, 
     ENGINE_FAULTS[fault](monkeypatch)
     code, _, _ = run_cli(capsys, *command, "--n", "2")
     assert code == (1 if fault in ENGINES_READ[command] else 0)
+
+
+def test_wrong_half_rows_change_the_eulerian_row(capsys, monkeypatch):
+    # the half-row-walk plant bites, though no command of the matrix reads that engine
+    plant_wrong_half_rows(monkeypatch)
+    code, out, _ = run_cli(capsys, "eulerian-row", "--n", "4", "--format", "csv")
+    assert code == 0 and out != "m,count\n0,1\n1,11\n2,11\n3,1\n"
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
