@@ -12,32 +12,25 @@ w_1 ... w_j respect the bounds as descent-count conditions
 (Lam-Postnikov, with the convention w_0 = 0): a window on the height
 of the ad-word's path after j - 1 letters, read by one descent-word walk.
 """
-from __future__ import annotations
-
+import collections
 import itertools
-from typing import Iterable, NamedTuple, Optional
+from collections.abc import Iterable
 
 from .errors import charge
 
 
-class Bound(NamedTuple):
+class Bound(collections.namedtuple("Bound", "j lower upper", defaults=(None, None))):
     """lower <= x_1 + ... + x_j <= upper; either side may be absent (None)."""
 
-    j: int
-    lower: Optional[int] = None
-    upper: Optional[int] = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"j": self.j, "b": self.lower, "c": self.upper}
 
 
-class _SpecFields(NamedTuple):
-    ambient_n: int
-    level_k: int
-    bounds: tuple[Bound, ...] = ()
-
-
-class AlcovedSpec(_SpecFields):
+class AlcovedSpec(
+    collections.namedtuple("AlcovedSpec", "ambient_n level_k bounds", defaults=((),))
+):
     """Delta(level_k, ambient_n) cut by bounds on prefix sums."""
 
     __slots__ = ()
@@ -111,7 +104,7 @@ def w_set_count(spec: AlcovedSpec) -> int:
             for bd in by_letters.get(letters, ())
         )
 
-    def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
+    def step(x: int, y: int, key: int, letter: int) -> int | None:
         return key if admits(x + y + 1, y + letter) else None
 
     counts = descent_word_walk(spec.ambient_n - 1, spec.level_k - 1, step)

@@ -7,13 +7,11 @@ refusal, 141 stdout closed by its reader.  All results go to stdout,
 diagnostics to stderr; identical invocations produce byte-identical
 output.
 """
-from __future__ import annotations
-
 import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import errors, numbers
 from .errors import (WORK_CAP, Budget, DegenerateDimensionError, InvariantError,

@@ -21,20 +21,15 @@ rotated bounds of the P_{k,n} spec whose volume is counted.  Nothing here
 consults the permutation-counting route, so the two volume computations
 cross-check each other.
 """
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
 from .alcoved import AlcovedSpec, spec_for_Pkn, spec_for_hypersimplex
 from .errors import DegenerateDimensionError, InvariantError, charge
 from .numbers import eulerian, fuss_eulerian_catalan
-
-if TYPE_CHECKING:
-    import random
 
 PROBE_SAMPLES = 120
 PROBE_SEED = 271828
@@ -186,7 +181,7 @@ def _piece_memberships(spec: AlcovedSpec, k: int, numerators: Sequence[int]) -> 
 
 
 def _sample_alcove_points(
-    ambient_n: int, level_k: int, count: int, rng: random.Random
+    ambient_n: int, level_k: int, count: int, rng
 ) -> list[tuple[int, ...]]:
     """
     Numerators over N = ambient_n of the alcove points of count exactly uniform

@@ -9,11 +9,9 @@ One entry comes from the closed-form alternating sum, which shares no code
 with the walk; test_numbers' `test_closed_form_matches_the_row_walk` and
 `test_eulerian_past_n_500_matches_closed_form` check the upper halves by it.
 """
-from __future__ import annotations
-
 import itertools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import InvariantError
 

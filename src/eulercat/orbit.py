@@ -10,9 +10,7 @@ exceedance is its k = 2 flaw count (paths.is_flaw_step).  The census and
 the Dyck count are two rules of paths.flaw_walk, at any k: the census
 counts the flaws, the Dyck count drops every word with one.
 """
-from __future__ import annotations
-
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InvariantError
 from .permcore import ad_vector, as_permutation, format_permutation

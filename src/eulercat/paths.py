@@ -9,9 +9,7 @@ descents; each flaw count is a rule for what a flaw does to the walk's
 key.  At k = 2 the flaw rows are the exceedance columns: a path leaves
 column x above height x iff it climbs out of row x at a column <= x.
 """
-from __future__ import annotations
-
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .permcore import descent_word_walk
 
@@ -22,7 +20,7 @@ def is_flaw_step(x: int, y: int, letter: int, k: int) -> bool:
 
 
 def flaw_walk(
-    k: int, n: int, on_flaw: Callable[[int, int], Optional[int]]
+    k: int, n: int, on_flaw: Callable[[int, int], int | None]
 ) -> dict[int, int]:
     """
     {final key: permutations of S_{kn+k-1} with n descents whose ad-word ends
@@ -35,7 +33,7 @@ def flaw_walk(
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    def step(x: int, y: int, key: int, letter: int) -> Optional[int]:
+    def step(x: int, y: int, key: int, letter: int) -> int | None:
         return on_flaw(key, y) if is_flaw_step(x, y, letter, k) else key
 
     return descent_word_walk(k * n + k - 1, n, step)

@@ -15,10 +15,8 @@ Every count in the package depends on a permutation only through its
 ascent/descent word, so descent_word_walk is the one counting engine: it
 reads the words letter by letter as paths, and each count is a step rule.
 """
-from __future__ import annotations
-
 import itertools
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import charge
 
@@ -42,7 +40,7 @@ def ad_vector(w: Sequence[int]) -> tuple[int, ...]:
 
 
 def descent_word_walk(
-    m: int, d: int, step: Callable[[int, int, int, int], Optional[int]]
+    m: int, d: int, step: Callable[[int, int, int, int], int | None]
 ) -> dict[int, int]:
     """
     {final key: permutations of [m] with d descents whose ad-word ends with

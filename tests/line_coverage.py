@@ -35,8 +35,6 @@ ALLOWED = {
         "only a reader that closes stdout mid-write reaches it; test_cli runs that in a subprocess",
     ("cli", "sys.exit(main())"):
         "runs only as `python -m eulercat.cli`, which test_cli runs in a subprocess",
-    ("geometry", "import random"):
-        "the `if TYPE_CHECKING:` import, which only a type checker reads",
 }
 
 

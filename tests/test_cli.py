@@ -843,18 +843,28 @@ sys.exit(code)
 
 @pytest.mark.parametrize("argv,absent", [
     (("catalan", "--max-n", "0"),
-     {"dataclasses", "fractions", "csv", "eulercat.orbit", "eulercat.alcoved",
-      "eulercat.geometry", "eulercat.paths", "eulercat.permcore"}),
-    (("census", "--n", "1"), {"dataclasses", "fractions", "eulercat.geometry"}),
+     {"typing", "__future__", "dataclasses", "fractions", "csv", "eulercat.orbit",
+      "eulercat.alcoved", "eulercat.geometry", "eulercat.paths", "eulercat.permcore"}),
+    (("census", "--n", "1"), {"typing", "__future__", "dataclasses", "fractions",
+                              "eulercat.geometry"}),
     (("volume", "--shape", "pkn", "--k", "2", "--n", "2"),
-     {"dataclasses", "fractions", "decimal", "eulercat.orbit", "eulercat.paths",
-      "eulercat.permcore"}),
+     {"typing", "__future__", "dataclasses", "fractions", "decimal", "eulercat.orbit",
+      "eulercat.paths", "eulercat.permcore"}),
+    (("orbit", "2", "4", "1", "5", "3"),
+     {"typing", "__future__", "dataclasses", "fractions", "eulercat.alcoved",
+      "eulercat.geometry"}),
+    (("verify", "subdivision", "--k", "2", "--n", "1"),
+     {"typing", "__future__", "dataclasses", "fractions", "decimal", "eulercat.orbit",
+      "eulercat.paths", "eulercat.permcore"}),
 ])
 def test_subcommand_imports_only_what_it_runs(argv, absent):
-    # a fresh interpreter: pytest itself has loaded dataclasses and fractions
-    result = subprocess.run([sys.executable, "-c", DIET_PROBE, *argv], capture_output=True,
-                            text=True)
+    # a fresh interpreter without site, whose hooks may load typing before the CLI
+    # runs; pytest itself has loaded dataclasses and fractions
+    result = subprocess.run([sys.executable, "-S", "-c", DIET_PROBE, *argv],
+                            capture_output=True, text=True)
     assert result.returncode == 0
     loaded = set(result.stderr.split())
     assert "eulercat.numbers" in loaded
+    # only the subdivision probes draw random alcoves
+    assert ("random" in loaded) == (argv[:2] == ("verify", "subdivision"))
     assert loaded & absent == set()

@@ -152,3 +152,27 @@ def test_every_traced_function_is_defined():
         if isinstance(node, ast.FunctionDef)
     }
     assert sorted(traced - defined - {"cli.parse_args"}) == []
+
+
+def _modules_tuple(path):
+    """The literal MODULES tuple that one perfbench script assigns."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "MODULES" for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no MODULES in {path}")
+
+
+def test_every_traced_module_has_a_public_function():
+    # run.py reads one per-layer metric per module, and traced_cli wraps each
+    # module's top-level public functions: a module with none, or one that only one
+    # of the two lists names, leaves a metric missing at the end of a traced run
+    modules = _modules_tuple(BENCH_RUNNER)
+    assert modules == _modules_tuple(BENCH_RUNNER.with_name("traced_cli.py"))
+    by_stem = {path.stem: path for path in SOURCES}
+    bare = [
+        module for module in modules
+        if not any(isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                   for node in ast.parse(by_stem[module].read_text()).body)
+    ]
+    assert bare == []
