@@ -19,13 +19,8 @@ from collections.abc import Iterable
 from .errors import charge
 
 
-class Bound(collections.namedtuple("Bound", "j lower upper", defaults=(None, None))):
-    """lower <= x_1 + ... + x_j <= upper; either side may be absent (None)."""
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {"j": self.j, "b": self.lower, "c": self.upper}
+# lower <= x_1 + ... + x_j <= upper; either side may be absent (None)
+Bound = collections.namedtuple("Bound", "j lower upper", defaults=(None, None))
 
 
 class AlcovedSpec(
@@ -48,11 +43,23 @@ class AlcovedSpec(
                 raise ValueError(f"empty bound: {bd}")
         return super().__new__(cls, ambient_n, level_k, bounds)
 
+    def limits(self) -> dict[int, tuple[int, int]]:
+        """
+        {j: (lo, hi)} for each bounded prefix x_1 + ... + x_j: every bound on it,
+        intersected with the box's own range 0..level_k.  The one reading of bounds.
+        """
+        limits = {}
+        for j, lower, upper in self.bounds:
+            lo, hi = limits.get(j, (0, self.level_k))
+            limits[j] = (lo if lower is None else max(lo, lower),
+                         hi if upper is None else min(hi, upper))
+        return limits
+
     def to_json_dict(self) -> dict:
         return {
             "ambient_n": self.ambient_n,
             "level_k": self.level_k,
-            "bounds": [bd.to_json_dict() for bd in self.bounds],
+            "bounds": [{"j": j, "b": lower, "c": upper} for j, lower, upper in self.bounds],
         }
 
 
@@ -91,25 +98,19 @@ def w_set_count(spec: AlcovedSpec) -> int:
     """
     from .permcore import descent_word_walk
 
-    by_letters: dict[int, list[Bound]] = {}
-    for bd in spec.bounds:  # every bound on x_1 + ... + x_j, keyed by j - 1
-        by_letters.setdefault(bd.j - 1, []).append(bd)
-
-    def admits(letters: int, y: int) -> bool:
-        # des(w_1..w_j) is the height y once j - 1 letters are read.  With w_0 = 0
-        # the tie-break at equality always admits the lower side and rejects the
-        # upper side, so each bound reduces to b <= y < c.
-        return all(
-            (bd.lower is None or bd.lower <= y) and (bd.upper is None or y < bd.upper)
-            for bd in by_letters.get(letters, ())
-        )
+    limits, box = spec.limits(), (0, spec.level_k)
 
     def step(x: int, y: int, key: int, letter: int) -> int | None:
-        return key if admits(x + y + 1, y + letter) else None
+        # des(w_1..w_j) is the height once j - 1 letters are read.  With w_0 = 0 the
+        # tie-break at equality always admits the lower side and rejects the upper
+        # side, so each limit reduces to lo <= height < hi
+        lo, hi = limits.get(x + y + 2, box)
+        return key if lo <= y + letter < hi else None
 
     counts = descent_word_walk(spec.ambient_n - 1, spec.level_k - 1, step)
-    # bounds with j = 1 hold before the first letter, at y = 0
-    return sum(counts.values()) if admits(0, 0) else 0
+    # limits on j = 1 hold before the first letter, at height 0
+    lo, hi = limits.get(1, box)
+    return sum(counts.values()) if lo <= 0 < hi else 0
 
 
 def all_subsets(n: int) -> list[tuple[int, ...]]:

@@ -5,21 +5,22 @@ A dilated alcoved slice is counted by a dynamic program over the running
 prefix sum.  One forward and one backward pass first give each step i the
 polytope's band [lo_i, hi_i] of sums x_1 + ... + x_i that lie on some
 lattice point: reachable from 0 in steps of 0..1, still able to reach
-level_k, and inside every prefix bound.  Every clamp and step is linear in
-the dilation, so the band is built once per polytope, and the t-fold
-dilate's DP row at step i holds exactly t * [lo_i, hi_i]: a dilation costs
-the sum of its window widths, each step one difference of the previous
-row's prefix sums.  An empty polytope has a crossed band, some lo_i > hi_i,
-and its dilates t >= 1 run no DP.  The counts at dilations t = 0..d
-determine d! times the Ehrhart polynomial, whose coefficients are
-integers, by Newton forward differences; its leading coefficient is the
-normalized volume.  Subdivision probes are exactly uniform alcoves of the
-hypersimplex, drawn as permutations by descent-preserving insertion with
-Eulerian-number weights, each probed at its alcove point: integer
-numerators over N that lie on no cyclic wall, tested strictly against the
-rotated bounds of the P_{k,n} spec whose volume is counted.  Nothing here
-consults the permutation-counting route, so the two volume computations
-cross-check each other.
+level_k, and inside every prefix limit, as AlcovedSpec.limits() reads the
+spec's bounds.  Every clamp and step is linear in the dilation, so the
+band is built once per polytope, and the t-fold dilate's DP row at step i
+holds exactly t * [lo_i, hi_i]: a dilation costs the sum of its window
+widths, each step one difference of the previous row's prefix sums.  An
+empty polytope has a crossed band, some lo_i > hi_i, and its dilates
+t >= 1 run no DP.  The counts at dilations t = 0..d determine d! times
+the Ehrhart polynomial, whose coefficients are integers, by Newton forward
+differences; its leading coefficient is the normalized volume.
+Subdivision probes are exactly uniform alcoves of the hypersimplex, drawn
+as permutations by descent-preserving insertion with Eulerian-number
+weights, each probed at its alcove point: integer numerators over N that
+lie on no cyclic wall, tested strictly against the rotated limits of the
+P_{k,n} spec whose volume is counted.  Nothing here consults the
+permutation-counting route, so the two volume computations cross-check
+each other.
 """
 import functools
 import itertools
@@ -39,22 +40,16 @@ def _windows(spec: AlcovedSpec) -> list[tuple[int, int]]:
     """
     The band [lo_i, hi_i] of prefix sums x_1 + ... + x_i, i = 0..N, that lie on
     some lattice point of spec: a forward pass keeps the sums reachable from 0 in
-    steps of 0..1 within every bound, a backward pass those that can still reach
+    steps of 0..1 within every limit, a backward pass those that can still reach
     level_k.  The t-fold dilate's band is t times it; an empty polytope shows as a
     crossed window, lo_i > hi_i.  Charges one cell per window before building them.
     """
     charge(spec.ambient_n + 1)
-    clamps = [(0, spec.level_k)] * spec.ambient_n + [(spec.level_k, spec.level_k)]
-    for bd in spec.bounds:
-        lo, hi = clamps[bd.j]
-        if bd.lower is not None:
-            lo = max(lo, bd.lower)
-        if bd.upper is not None:
-            hi = min(hi, bd.upper)
-        clamps[bd.j] = (lo, hi)
+    limits = spec.limits()
+    limits[spec.ambient_n] = (spec.level_k, spec.level_k)  # the level sum itself
     band = [(0, 0)]
-    for clo, chi in clamps[1:]:
-        lo, hi = band[-1]
+    for j in range(1, spec.ambient_n + 1):
+        (lo, hi), (clo, chi) = band[-1], limits.get(j, (0, spec.level_k))
         band.append((max(lo, clo), min(hi + 1, chi)))
     for i in range(spec.ambient_n - 1, -1, -1):
         (lo, hi), (nlo, nhi) = band[i], band[i + 1]
@@ -165,17 +160,19 @@ def _piece_memberships(spec: AlcovedSpec, k: int, numerators: Sequence[int]) -> 
     """
     Whether the point numerators/N, N = spec.ambient_n, is strictly inside each
     cyclic piece: piece i is spec with its coordinates rotated by k*i, so it
-    holds lower < x_{ki+1} + ... + x_{ki+j} < upper for every bound of spec,
+    holds lo < x_{ki+1} + ... + x_{ki+j} < hi for every limit of spec.limits(),
     indices mod N, read off one circular prefix sum of the numerators.  A point
     on a wall is in no piece that the wall bounds.
     """
     prefix = [0, *itertools.accumulate(itertools.chain(numerators, numerators))]
-    # each side of a bound as (j, sign, limit): its slack is sign * (limit - sum)
-    d = spec.ambient_n
-    sides = [(bd.j, 1, d * bd.upper) for bd in spec.bounds if bd.upper is not None]
-    sides += [(bd.j, -1, d * bd.lower) for bd in spec.bounds if bd.lower is not None]
+    # each side of a limit as (j, sign, wall): its slack is sign * (wall - sum).  The
+    # box's own sides 0 and level_k always hold strictly: each numerator is in 1..N-1,
+    # so a window of 0 < j < N of them sums strictly between 0 and N * level_k
+    d, limits = spec.ambient_n, spec.limits().items()
+    sides = [(j, 1, d * hi) for j, (lo, hi) in limits if hi < spec.level_k]
+    sides += [(j, -1, d * lo) for j, (lo, hi) in limits if lo > 0]
     return [
-        min(sign * (limit - prefix[start + j] + prefix[start]) for j, sign, limit in sides) > 0
+        min(sign * (wall - prefix[start + j] + prefix[start]) for j, sign, wall in sides) > 0
         for start in range(0, d, k)
     ]
 

@@ -168,6 +168,16 @@ def test_w_set_walk_matches_value_based_brute_count_in_s8(spec):
     assert w_set_count(spec) == brute_w_set_count(spec)
 
 
+@pytest.mark.parametrize("spec,limits", [
+    *zip(REPEATED_J_SPECS, [{3: (1, 2), 6: (0, 3)}, {1: (0, 1), 5: (2, 3)},
+                            {8: (3, 4), 2: (0, 1)}, {1: (0, 0)}]),
+    # lower = -1 and upper = level_k + 1 clamp to the box 0..level_k: no limit inside it
+    (AlcovedSpec(6, 3, (Bound(2, lower=-1, upper=4), Bound(4, upper=1))), {2: (0, 3), 4: (0, 1)}),
+])
+def test_limits_intersect_every_bound_on_a_prefix_with_the_box(spec, limits):
+    assert spec.limits() == limits
+
+
 def test_w_set_count_scale_cap(monkeypatch):
     # the W-set walk of P_{2,8} and the Dyck walk at (2, 8) fill 404 cells each, and
     # one budget is charged by both; the spec's 8 bounds are built before it is set

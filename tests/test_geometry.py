@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from eulercat import geometry
@@ -371,6 +371,41 @@ def test_integer_membership_matches_fraction_sums(k, n, flipped):
         for strict in (True, False):
             assert inside == [
                 fraction_piece_membership(k, n, i, point, strict, flipped) for i in range(n + 1)]
+
+
+@st.composite
+def binding_specs(draw):
+    """Specs whose prefixes are each bounded twice, sides from -1 to level_k + 1 (so
+    some are redundant), with at least one limit inside the box 0..level_k."""
+    ambient_n = draw(st.integers(2, 9))
+    level_k = draw(st.integers(1, ambient_n - 1))
+    side = st.none() | st.integers(-1, level_k + 1)
+    bounds = []
+    for j in draw(st.lists(st.integers(1, ambient_n - 1), min_size=1, max_size=3)) * 2:
+        lower, upper = draw(side), draw(side)
+        if lower is not None and upper is not None and lower > upper:
+            lower, upper = upper, lower
+        bounds.append(Bound(j, lower, upper))
+    spec = AlcovedSpec(ambient_n, level_k, tuple(bounds))
+    assume(any(lo > 0 or hi < level_k for lo, hi in spec.limits().values()))
+    return spec
+
+
+@given(binding_specs(), st.integers(1, 9), st.integers(0, 2**32))
+def test_membership_matches_fraction_sums_of_the_raw_bounds(spec, k, seed):
+    # the membership keeps only the sides of spec.limits() inside the box; the box's
+    # own sides hold strictly at every alcove point, so re-summing every raw bound
+    # must give the same answer
+    N = spec.ambient_n
+    for numerators in geometry._sample_alcove_points(N, spec.level_k, 5, random.Random(seed)):
+        point = [Fraction(c, N) for c in numerators]
+        expected = []
+        for start in range(0, N, k):
+            total = {j: sum(point[(start + s) % N] for s in range(j)) for j, _, _ in spec.bounds}
+            expected.append(all(
+                (lower is None or lower < total[j]) and (upper is None or total[j] < upper)
+                for j, lower, upper in spec.bounds))
+        assert geometry._piece_memberships(spec, k, numerators) == expected
 
 
 def test_membership_is_strict_on_a_wall():

@@ -20,7 +20,6 @@ def test_alcoved_spec_validates_at_construction():
 
 
 def test_record_json_shapes(monkeypatch):
-    assert Bound(2, upper=1).to_json_dict() == {"j": 2, "b": None, "c": 1}
     assert spec_for_Pkn(2, 2, {2}).to_json_dict() == {
         "ambient_n": 6,
         "level_k": 3,

@@ -176,3 +176,16 @@ def test_every_traced_module_has_a_public_function():
                    for node in ast.parse(by_stem[module].read_text()).body)
     ]
     assert bare == []
+
+
+def test_only_alcoved_reads_the_bounds_of_a_spec():
+    # AlcovedSpec.limits() is the one reading of a spec's bounds: the DP band, the
+    # W-set walk and the subdivision probes all take it, so no other module reads a
+    # spec's bounds or a Bound's sides
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in SOURCES if path.name != "alcoved.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in {"lower", "upper", "bounds"}
+    ]
+    assert found == []
