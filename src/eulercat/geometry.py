@@ -11,16 +11,18 @@ band is built once per polytope, and the t-fold dilate's DP row at step i
 holds exactly t * [lo_i, hi_i]: a dilation costs the sum of its window
 widths, each step one difference of the previous row's prefix sums.  An
 empty polytope has a crossed band, some lo_i > hi_i, and its dilates
-t >= 1 run no DP.  The counts at dilations t = 0..d determine d! times
-the Ehrhart polynomial, whose coefficients are integers, by Newton forward
-differences; its leading coefficient is the normalized volume.
+t >= 1 run no DP.  An Ehrhart count charges all its dilations' cells
+before the first DP runs, so one over the cap runs none.  The counts at
+dilations t = 0..d determine d! times the Ehrhart polynomial, whose
+coefficients are integers, by Newton forward differences; its leading
+coefficient is the normalized volume.
 Subdivision probes are exactly uniform alcoves of the hypersimplex, drawn
 as permutations by descent-preserving insertion with Eulerian-number
 weights, each probed at its alcove point: integer numerators over N that
-lie on no cyclic wall, tested strictly against the rotated limits of the
-P_{k,n} spec whose volume is counted.  Nothing here consults the
-permutation-counting route, so the two volume computations cross-check
-each other.
+lie on no cyclic wall, tested strictly against every rotated limit of the
+P_{k,n} spec whose volume is counted, box sides included.  Nothing here
+consults the permutation-counting route, so the two volume computations
+cross-check each other.
 """
 import functools
 import itertools
@@ -61,14 +63,13 @@ def count_dilated_lattice_points(band: Sequence[tuple[int, int]], t: int) -> int
     """
     Number of integer points of the t-fold dilate of the polytope whose band
     _windows built: 0 <= x_i <= t, sum x_i = t * level_k, prefix sums within
-    t-scaled bounds.  A crossed band counts 0 at t >= 1 and runs no DP; any
-    other charges its cells first, then takes one coordinate x_i in 0..t per step.
+    t-scaled bounds.  A crossed band counts 0 at t >= 1 and runs no DP; any other
+    takes one coordinate x_i in 0..t per step.  Charges nothing: ehrhart_volume does.
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
     if t and any(lo > hi for lo, hi in band):
         return 0
-    charge(len(band) + t * sum(hi - lo for lo, hi in band))
     row = [1]
     for (plo, phi), (lo, hi) in zip(band, band[1:]):
         # row i-1's prefix sums, padded with zeros to the sums t * (lo_i - 1) .. t * hi_i,
@@ -120,10 +121,14 @@ def ehrhart_volume(spec: AlcovedSpec) -> dict:
     Evaluate the lattice-point count at t = 0..d, interpolate d! times the
     Ehrhart polynomial and check it at t = -1.  Returns the dimension d, the
     evaluations, the polynomial's coefficients (ascending, as "num/den") and
-    its leading coefficient times d!, the normalized volume.
+    its leading coefficient times d!, the normalized volume.  Charges the cells
+    of all d+1 dilations before the first DP: dilation t fills len(band) + t * W,
+    W the band's total width, and a crossed band fills only its t = 0 row.
     """
     d = spec.ambient_n - 1
     band = _windows(spec)
+    cells = (d + 1) * len(band) + sum(hi - lo for lo, hi in band) * d * (d + 1) // 2
+    charge(len(band) if any(lo > hi for lo, hi in band) else cells)
     evaluations = [count_dilated_lattice_points(band, t) for t in range(d + 1)]
     # integer bounds make the polytope a lattice polytope: if nonempty, its
     # vertices are lattice points of the undilated copy (t = 1)
@@ -162,17 +167,14 @@ def _piece_memberships(spec: AlcovedSpec, k: int, numerators: Sequence[int]) -> 
     cyclic piece: piece i is spec with its coordinates rotated by k*i, so it
     holds lo < x_{ki+1} + ... + x_{ki+j} < hi for every limit of spec.limits(),
     indices mod N, read off one circular prefix sum of the numerators.  A point
-    on a wall is in no piece that the wall bounds.
+    on a wall is in no piece that the wall bounds; with no limit, it is in all.
     """
     prefix = [0, *itertools.accumulate(itertools.chain(numerators, numerators))]
-    # each side of a limit as (j, sign, wall): its slack is sign * (wall - sum).  The
-    # box's own sides 0 and level_k always hold strictly: each numerator is in 1..N-1,
-    # so a window of 0 < j < N of them sums strictly between 0 and N * level_k
-    d, limits = spec.ambient_n, spec.limits().items()
-    sides = [(j, 1, d * hi) for j, (lo, hi) in limits if hi < spec.level_k]
-    sides += [(j, -1, d * lo) for j, (lo, hi) in limits if lo > 0]
+    # box sides hold strictly: 0 < j < N numerators, each in 1..N-1, sum inside (0, N * level_k)
+    d = spec.ambient_n
+    walls = [(j, d * lo, d * hi) for j, (lo, hi) in spec.limits().items()]
     return [
-        min(sign * (wall - prefix[start + j] + prefix[start]) for j, sign, wall in sides) > 0
+        all(lo < prefix[start + j] - prefix[start] < hi for j, lo, hi in walls)
         for start in range(0, d, k)
     ]
 

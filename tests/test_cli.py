@@ -281,6 +281,21 @@ def test_force_lifts_the_cap(capsys):
     assert code == 0 and out == f"shape,dimension,volume\nhypersimplex,42,{eulerian(21, 42)}\n"
 
 
+@pytest.mark.parametrize("argv,dilations", [
+    (("volume", "--shape", "hypersimplex", "--k", "22", "--n", "44"), 0),
+    # P_{2,19} fills 165,500 cells with its bounds and 40 dilations; Delta(20, 40) would
+    # fill 313,681 more, so it is refused before its first
+    (("verify", "subdivision", "--k", "2", "--n", "19"), 40),
+], ids=["delta-22-44", "subdivision-2-19"])
+def test_an_over_cap_volume_runs_no_dilation(capsys, monkeypatch, argv, dilations):
+    # a volume charges every dilation's cells before its first DP
+    real, calls = geometry.count_dilated_lattice_points, []
+    monkeypatch.setattr(geometry, "count_dilated_lattice_points",
+                        lambda band, t: calls.append(t) or real(band, t))
+    assert run_cli(capsys, *argv) == (3, "", CAP_REFUSAL)
+    assert calls == list(range(dilations))
+
+
 def test_force_lifts_the_limit_not_the_meter(capsys, monkeypatch):
     # census --n 31 fills 453,375 cells on one budget with no limit; an uncapped
     # command runs on a capped budget and fills none

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eulercat import geometry
@@ -176,11 +176,16 @@ def test_ehrhart_held_out_dilation():
         math.factorial(record["dimension"]) * held_out
 
 
-def test_ehrhart_empty_polytope_is_refused():
+def test_ehrhart_empty_polytope_is_refused(monkeypatch):
     # Delta(2, 3) with x_1 + x_2 <= 0 is empty; its t = 0 dilate is still {0}
     spec = AlcovedSpec(ambient_n=3, level_k=2, bounds=(Bound(2, upper=0),))
+    budget = Budget(None)
+    monkeypatch.setattr(errors, "budget", budget)
     with pytest.raises(ValueError, match=r"empty polytope: h\(1\) = 0"):
         ehrhart_volume(spec)
+    # its band is crossed, so it fills 4 cells and its t = 0 row 4 more, and no DP runs
+    # at t >= 1
+    assert budget.filled == 8
 
 
 @st.composite
@@ -237,8 +242,12 @@ def test_empty_dilate_is_a_crossed_window_and_runs_no_dp(spec, monkeypatch):
     band = geometry._windows(spec)
     assert any(lo > hi for lo, hi in band)
     assert count_dilated_lattice_points(band, 0) == 1  # the 0-fold dilate is the point 0
-    # the DP's first step is its charge, so a DP that ran would call None
-    monkeypatch.setattr(geometry, "charge", None)
+    # the DP's first step sums a row by itertools.accumulate, so a DP that ran would
+    # read it off None, as a band that is not crossed does
+    uncrossed = geometry._windows(spec_for_Pkn(2, 1))
+    monkeypatch.setattr(geometry, "itertools", None)
+    with pytest.raises(AttributeError):
+        count_dilated_lattice_points(uncrossed, 1)
     assert [count_dilated_lattice_points(band, t) for t in range(1, 5)] == [0] * 4
 
 
@@ -374,9 +383,9 @@ def test_integer_membership_matches_fraction_sums(k, n, flipped):
 
 
 @st.composite
-def binding_specs(draw):
-    """Specs whose prefixes are each bounded twice, sides from -1 to level_k + 1 (so
-    some are redundant), with at least one limit inside the box 0..level_k."""
+def twice_bounded_specs(draw):
+    """Specs whose prefixes are each bounded twice, sides from -1 to level_k + 1, so
+    some are redundant and some specs have no limit inside the box 0..level_k."""
     ambient_n = draw(st.integers(2, 9))
     level_k = draw(st.integers(1, ambient_n - 1))
     side = st.none() | st.integers(-1, level_k + 1)
@@ -386,16 +395,14 @@ def binding_specs(draw):
         if lower is not None and upper is not None and lower > upper:
             lower, upper = upper, lower
         bounds.append(Bound(j, lower, upper))
-    spec = AlcovedSpec(ambient_n, level_k, tuple(bounds))
-    assume(any(lo > 0 or hi < level_k for lo, hi in spec.limits().values()))
-    return spec
+    return AlcovedSpec(ambient_n, level_k, tuple(bounds))
 
 
-@given(binding_specs(), st.integers(1, 9), st.integers(0, 2**32))
+@given(twice_bounded_specs(), st.integers(1, 9), st.integers(0, 2**32))
 def test_membership_matches_fraction_sums_of_the_raw_bounds(spec, k, seed):
-    # the membership keeps only the sides of spec.limits() inside the box; the box's
-    # own sides hold strictly at every alcove point, so re-summing every raw bound
-    # must give the same answer
+    # the membership tests every limit of spec.limits(), box sides included; those hold
+    # strictly at every alcove point, so re-summing every raw bound must give the same
+    # answer, also on a spec with no limit inside the box
     N = spec.ambient_n
     for numerators in geometry._sample_alcove_points(N, spec.level_k, 5, random.Random(seed)):
         point = [Fraction(c, N) for c in numerators]
@@ -418,6 +425,24 @@ def test_membership_is_strict_on_a_wall():
     assert geometry._piece_memberships(spec_for_Pkn(2, 2), 2, numerators) == \
         [fraction_piece_membership(2, 2, i, point, True) for i in range(3)] == \
         [False, False, False]
+    # in P_{2,2}({1}) the same x_1 + x_2 = 1 is on piece 0's lower wall x_1 + x_2 >= 1,
+    # and x_3 + x_4 < 1 and x_5 + x_6 + x_1 + x_2 > 2 put it outside pieces 1 and 2
+    assert [fraction_piece_membership(2, 2, i, point, False, {1}) for i in range(3)] == \
+        [True, False, False]
+    assert geometry._piece_memberships(spec_for_Pkn(2, 2, {1}), 2, numerators) == \
+        [fraction_piece_membership(2, 2, i, point, True, {1}) for i in range(3)] == \
+        [False, False, False]
+
+
+@pytest.mark.parametrize("spec", [
+    AlcovedSpec(5, 2), AlcovedSpec(5, 2, (Bound(2, lower=-1, upper=3),))],
+    ids=["no-bounds", "redundant-bounds"])
+def test_membership_holds_every_piece_with_no_binding_limit(spec):
+    # no limit cuts the box, whose sides hold strictly at every alcove point: the point
+    # is inside every piece, as the raw bounds say
+    for numerators in geometry._sample_alcove_points(
+            5, 2, geometry.PROBE_SAMPLES, random.Random(geometry.PROBE_SEED)):
+        assert geometry._piece_memberships(spec, 1, numerators) == [True] * 5
 
 
 def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
