@@ -31,6 +31,9 @@ class AlcovedSpec(
     __slots__ = ()
 
     def __new__(cls, ambient_n: int, level_k: int, bounds: tuple[Bound, ...] = ()):
+        values = [ambient_n, level_k, *(v for bd in bounds for v in bd[1:] if v is not None)]
+        if not all(isinstance(v, int) for v in [*values, *(bd.j for bd in bounds)]):
+            raise ValueError(f"not an integer spec: k = {level_k}, n = {ambient_n}, {bounds}")
         if not 0 < level_k < ambient_n:
             raise ValueError(
                 f"degenerate hypersimplex slice: k = {level_k}, n = {ambient_n}"

@@ -9,13 +9,13 @@ level_k, and inside every prefix limit, as AlcovedSpec.limits() reads the
 spec's bounds.  Every clamp and step is linear in the dilation, so the
 band is built once per polytope, and the t-fold dilate's DP row at step i
 holds exactly t * [lo_i, hi_i]: a dilation costs the sum of its window
-widths, each step one difference of the previous row's prefix sums.  An
-empty polytope has a crossed band, some lo_i > hi_i, and its dilates
-t >= 1 run no DP.  An Ehrhart count charges all its dilations' cells
-before the first DP runs, so one over the cap runs none.  The counts at
-dilations t = 0..d determine d! times the Ehrhart polynomial, whose
-coefficients are integers, by Newton forward differences; its leading
-coefficient is the normalized volume.
+widths, each step one difference of the previous row's prefix sums.  A
+crossed window, lo_i > hi_i, shows an empty polytope and an interior
+window of one sum a flat one, both refused before any dilation is priced;
+any other charges all its dilations' cells before the first DP.  The
+counts at dilations t = 0..d determine d! times the Ehrhart polynomial,
+whose coefficients are integers, by Newton forward differences; its
+leading coefficient is the normalized volume.
 Subdivision probes are exactly uniform alcoves of the hypersimplex, drawn
 as permutations by descent-preserving insertion with Eulerian-number
 weights, each probed at its alcove point: integer numerators over N that
@@ -121,24 +121,23 @@ def ehrhart_volume(spec: AlcovedSpec) -> dict:
     Evaluate the lattice-point count at t = 0..d, interpolate d! times the
     Ehrhart polynomial and check it at t = -1.  Returns the dimension d, the
     evaluations, the polynomial's coefficients (ascending, as "num/den") and
-    its leading coefficient times d!, the normalized volume.  Charges the cells
-    of all d+1 dilations before the first DP: dilation t fills len(band) + t * W,
-    W the band's total width, and a crossed band fills only its t = 0 row.
+    its leading coefficient times d!, the normalized volume.  An empty or flat
+    band is refused unpriced; otherwise dilation t fills len(band) + t * W cells,
+    W the band's total width, all charged before the first DP.
     """
     d = spec.ambient_n - 1
     band = _windows(spec)
-    cells = (d + 1) * len(band) + sum(hi - lo for lo, hi in band) * d * (d + 1) // 2
-    charge(len(band) if any(lo > hi for lo, hi in band) else cells)
-    evaluations = [count_dilated_lattice_points(band, t) for t in range(d + 1)]
-    # integer bounds make the polytope a lattice polytope: if nonempty, its
-    # vertices are lattice points of the undilated copy (t = 1)
-    if evaluations[1] < 1:
-        raise DegenerateDimensionError(f"empty polytope: h(1) = {evaluations[1]}")
-    coeffs = interpolate_at_integers(evaluations)
-    if coeffs[d] == 0:
+    # steps 0 <= S_i - S_{i-1} <= 1 and integer bounds are totally unimodular, so the band
+    # holds the vertices' prefix sums, and an implicit equality fixes some interior S_i
+    if any(lo > hi for lo, hi in band):
+        raise DegenerateDimensionError("empty polytope: h(1) = 0")
+    if any(lo == hi for lo, hi in band[1:-1]):
         raise DegenerateDimensionError(
             f"leading Ehrhart coefficient vanishes: polytope has dimension < {d}"
         )
+    charge((d + 1) * len(band) + sum(hi - lo for lo, hi in band) * d * (d + 1) // 2)
+    evaluations = [count_dilated_lattice_points(band, t) for t in range(d + 1)]
+    coeffs = interpolate_at_integers(evaluations)
     # Newton's form meets h(0..d) by construction, so only a value known exactly
     # can catch a wrong count: by Ehrhart-Macdonald reciprocity (-1)^d h(-1) counts
     # the interior lattice points, and a full-dimensional 0/1 slice has none, since
@@ -151,8 +150,8 @@ def ehrhart_volume(spec: AlcovedSpec) -> dict:
                              "a lattice-point count is wrong")
     if evaluations[0] != 1:
         raise InvariantError(f"h(0) = {evaluations[0]}, not 1: a lattice-point count is wrong")
-    if coeffs[d] < 0:
-        raise InvariantError(f"normalized volume {coeffs[d]} is negative")
+    if coeffs[d] <= 0:  # a full-dimensional lattice polytope has positive volume
+        raise InvariantError(f"normalized volume {coeffs[d]} is not positive")
     return {
         "dimension": d,
         "evaluations": evaluations,

@@ -16,10 +16,10 @@ from collections.abc import Iterator
 from .errors import InvariantError
 
 
-def eulerian_rows(n: int, width: int) -> Iterator[tuple[int, list[int]]]:
+def eulerian_rows(n: int, width: int) -> Iterator[list[int]]:
     """
     The lower halves of rows 1..n of the Eulerian triangle, row r as
-    (lo, [A(lo, r), ..., A((r-1)//2, r)]) with lo = max(0, r-1-width): the
+    [A(lo, r), ..., A((r-1)//2, r)] with lo = max(0, r-1-width): the
     entries with at most (r-1)//2 descents and at most width ascents.  Each
     row is built from the one before by A(m, r) = (r-m) A(m-1, r-1) +
     (m+1) A(m, r-1), and nothing older is kept.
@@ -34,14 +34,14 @@ def eulerian_rows(n: int, width: int) -> Iterator[tuple[int, list[int]]]:
             (r - m) * padded[m - prev_lo] + (m + 1) * padded[m - prev_lo + 1]
             for m in range(lo, (r - 1) // 2 + 1)
         ]
-        yield lo, half
+        yield half
 
 
 def eulerian_row(n: int) -> list[int]:
     """[A(0, n), ..., A(n-1, n)]: the last half of the walk, mirrored."""
     if n <= 0:
         raise ValueError("n must be >= 1")
-    for _, half in eulerian_rows(n, n - 1):
+    for half in eulerian_rows(n, n - 1):
         pass
     return half + half[: n - len(half)][::-1]
 
@@ -72,7 +72,7 @@ def eulerian_catalan_upto(max_n: int) -> list[int]:
     odd_rows = itertools.islice(eulerian_rows(2 * max_n + 1, max_n), 0, None, 2)
     return [
         _exact_quotient(half[-1], n + 1, f"EC_{n}", "the Eulerian row walk")
-        for n, (_, half) in enumerate(odd_rows)
+        for n, half in enumerate(odd_rows)
     ]
 
 

@@ -94,6 +94,11 @@ def test_spec_validation():
             AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(j, upper=1),))
     with pytest.raises(ValueError):
         AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(2, lower=2, upper=1),))
+    # a spec takes integers only: a fractional bound was read as no bound, or crashed the DP
+    for args in [(5.0, 2, ()), (5, 2.0, ()), (5, 2, (Bound(1.5, upper=0),)),
+                 (5, 2, (Bound(2, upper=0.5),))]:
+        with pytest.raises(ValueError, match="^not an integer spec: "):
+            AlcovedSpec(*args)
     AlcovedSpec(ambient_n=4, level_k=2, bounds=(Bound(1, lower=0, upper=1), Bound(3, lower=1)))
 
 

@@ -379,8 +379,8 @@ def plant_wrong_half_rows(monkeypatch):
     real = numbers.eulerian_rows
 
     def inflated(n, width):
-        for lo, half in real(n, width):
-            yield lo, [count + 1 for count in half]
+        for half in real(n, width):
+            yield [count + 1 for count in half]
 
     monkeypatch.setattr(numbers, "eulerian_rows", inflated)
 
@@ -772,16 +772,33 @@ def test_invariant_failure_exits_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("planted,message", [
-    ({1: 0}, "empty polytope: h(1) = 0"),
-    (dict.fromkeys(range(6), 1),
-     "leading Ehrhart coefficient vanishes: polytope has dimension < 5"),
+    ({3: (2, 1)}, "empty polytope: h(1) = 0"),
+    ({3: (2, 2)}, "leading Ehrhart coefficient vanishes: polytope has dimension < 5"),
 ], ids=["empty", "flat"])
 def test_empty_or_flat_polytope_from_a_cli_spec_exits_1(capsys, monkeypatch, planted, message):
     # every spec the CLI builds is full-dimensional and non-empty, so both refusals
-    # are bugs there, not bad arguments
+    # are bugs there, not bad arguments: a crossed window, or an interior one of one sum
+    real = geometry._windows
+    monkeypatch.setattr(geometry, "_windows",
+                        lambda spec: [planted.get(i, w) for i, w in enumerate(real(spec))])
+    assert run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "2") == (
+        1, "", f"error: internal invariant failed: {message}\n")
+
+
+@pytest.mark.parametrize("planted,message", [
+    (lambda real, band, t: 0 if t == 1 else real(band, t),
+     "h(-1) = 210/1, not 0: a lattice-point count is wrong"),
+    (lambda real, band, t: 1, "h(-1) = 1/1, not 0: a lattice-point count is wrong"),
+    # h(-1) = 0 and h(0) = 1 hold, so only the volume's sign catches it
+    (lambda real, band, t: 1 + t, "normalized volume 0 is not positive"),
+], ids=["empty-at-1", "constant", "linear"])
+def test_wrong_lattice_count_is_a_fault_not_a_degenerate_polytope(
+        capsys, monkeypatch, planted, message):
+    # the band already showed the polytope full-dimensional, so a count that reads it
+    # empty or flat is an engine fault
     real = geometry.count_dilated_lattice_points
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
-                        lambda band, t: planted.get(t, real(band, t)))
+                        lambda band, t: planted(real, band, t))
     assert run_cli(capsys, "volume", "--shape", "pkn", "--k", "2", "--n", "2") == (
         1, "", f"error: internal invariant failed: {message}\n")
 
@@ -828,8 +845,8 @@ def test_indivisible_eulerian_catalan_number_exits_1(capsys, monkeypatch):
     real = numbers.eulerian_rows
 
     def raised_by_one(n, width):
-        for lo, half in real(n, width):
-            yield lo, [a + 1 for a in half]  # a copy: the walk reads its own half
+        for half in real(n, width):
+            yield [a + 1 for a in half]  # a copy: the walk reads its own half
 
     monkeypatch.setattr(numbers, "eulerian_rows", raised_by_one)
     code, out, err = run_cli(capsys, "ec", "--max-n", "2")
@@ -839,12 +856,12 @@ def test_indivisible_eulerian_catalan_number_exits_1(capsys, monkeypatch):
 
 
 def test_negative_volume_exits_1(capsys, monkeypatch):
-    # h = 1, 1, 0 meets h(0) = 1, h(1) >= 1, full degree and h(-1) = 0, but 2! h(t) = 2 + t - t^2
+    # h = 1, 1, 0 meets h(0) = 1 and h(-1) = 0, but 2! h(t) = 2 + t - t^2
     monkeypatch.setattr(geometry, "count_dilated_lattice_points",
                         lambda band, t: (1, 1, 0)[t])
     code, out, err = run_cli(capsys, "volume", "--shape", "hypersimplex", "--k", "1", "--n", "3")
     assert (code, out) == (1, "")
-    assert err == "error: internal invariant failed: normalized volume -1 is negative\n"
+    assert err == "error: internal invariant failed: normalized volume -1 is not positive\n"
 
 
 DIET_PROBE = """
