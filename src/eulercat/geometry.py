@@ -209,30 +209,25 @@ def _sample_alcove_points(
     return points
 
 
-def _probe_point(numerators: Sequence[int]) -> str:
-    # an alcove point of Delta(level_k, N) has N numerators over N
-    return "(" + ", ".join(_ratio(c, len(numerators)) for c in numerators) + ")"
-
-
 def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     """
-    Check that n+1 copies of P_{k,n} fill the hypersimplex volume and
-    probe uniform alcoves at their alcove points for coverage and disjoint
-    interiors.  Piece i is P_{k,n} with coordinates rotated by k*i, which
-    maps lattice points to lattice points, so one Ehrhart count serves all
-    n+1 pieces; the probes test each rotated piece separately, and a probe
-    lies on no wall, so it must be inside exactly one piece.
-    Returns (ok, what was measured).
+    Check that the n+1 cyclic pieces of P_{k,n} fill the volume of the
+    hypersimplex Delta(level_k, N), N and level_k read off the counted spec, and
+    probe uniform alcoves at their alcove points.  Piece i is P_{k,n} with
+    coordinates rotated by k*i, which maps lattice points to lattice points, so
+    one Ehrhart count serves all pieces.  A probe lies on no wall, so it must be
+    inside exactly one piece, where it counts a hit; any other probe is one
+    failure naming the pieces that hold it.  Returns (ok, what was measured).
     """
     failures: list[str] = []
     pkn = spec_for_Pkn(k, n)
+    N, level = pkn.ambient_n, pkn.level_k
     piece = ehrhart_volume(pkn)["normalized_volume"]
-    volumes = [piece] * (n + 1)
+    volumes = [piece] * level
 
-    N = k * (n + 1)
-    hyper = ehrhart_volume(spec_for_hypersimplex(n + 1, N))["normalized_volume"]
+    hyper = ehrhart_volume(spec_for_hypersimplex(level, N))["normalized_volume"]
     expected_piece = fuss_eulerian_catalan(k, n)  # A(n, N-1)/(n+1), checked exact
-    expected_total = (n + 1) * expected_piece
+    expected_total = level * expected_piece
     # these two checks imply that the pieces sum to the hypersimplex
     if hyper != expected_total:
         failures.append(f"hypersimplex volume {hyper} != Eulerian number {expected_total}")
@@ -241,17 +236,14 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
 
     import random
 
-    interior_hits = [0] * (n + 1)
-    for numerators in _sample_alcove_points(N, n + 1, PROBE_SAMPLES, random.Random(PROBE_SEED)):
+    interior_hits = [0] * level
+    for numerators in _sample_alcove_points(N, level, PROBE_SAMPLES, random.Random(PROBE_SEED)):
         pieces = [i for i, inside in enumerate(_piece_memberships(pkn, k, numerators)) if inside]
-        if not pieces:
-            failures.append(f"point {_probe_point(numerators)} is covered by no piece")
-        for i in pieces:
-            interior_hits[i] += 1
-            failures += (
-                f"point {_probe_point(numerators)} is interior to piece {i} but also in piece {j}"
-                for j in pieces if j != i
-            )
+        if len(pieces) == 1:
+            interior_hits[pieces[0]] += 1
+        else:
+            point = ", ".join(_ratio(c, N) for c in numerators)
+            failures.append(f"point ({point}) lies in pieces {pieces}, not in exactly one")
     return not failures, {
         "piece_volumes": volumes,
         "total_volume": sum(volumes),

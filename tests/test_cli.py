@@ -694,9 +694,15 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
     # every probe point reads as interior to every piece
     monkeypatch.setattr(geometry, "_piece_memberships",
                         lambda spec, k, numerators: [True] * (spec.ambient_n // k))
-    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1",
+                           "--format", "json")
     assert code == 1
-    assert out.startswith("FAIL") and "is interior to piece 0 but also in piece 1" in out
+    report = json.loads(out)
+    assert report["status"] == "FAIL" and report["interior_hits"] == [0, 0]
+    # one failure line per probe, none mirrored for the other piece
+    assert len(report["failures"]) == geometry.PROBE_SAMPLES
+    assert all(re.fullmatch(r"point \([0-9/, ]+\) lies in pieces \[0, 1\], not in exactly one", f)
+               for f in report["failures"])
 
 
 def test_probe_inside_two_loosened_pieces_exits_1(capsys, monkeypatch):
@@ -715,11 +721,13 @@ def test_probe_inside_two_loosened_pieces_exits_1(capsys, monkeypatch):
                         lambda ambient_n, level_k, count, rng: [(2, 2, 5, 2, 2, 5)])
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--n", "2", "--format", "json")
     assert code == 1
-    assert json.loads(out)["failures"] == [
+    report = json.loads(out)
+    assert report["failures"] == [
         "piece volume 33 != expected 22",
-        "point (1/3, 1/3, 5/6, 1/3, 1/3, 5/6) is interior to piece 0 but also in piece 2",
-        "point (1/3, 1/3, 5/6, 1/3, 1/3, 5/6) is interior to piece 2 but also in piece 0",
+        "point (1/3, 1/3, 5/6, 1/3, 1/3, 5/6) lies in pieces [0, 2], not in exactly one",
     ]
+    # a probe in two pieces is a hit in neither
+    assert report["interior_hits"] == [0, 0, 0]
 
 
 def test_uncovered_probe_exits_1(capsys, monkeypatch):
@@ -728,7 +736,7 @@ def test_uncovered_probe_exits_1(capsys, monkeypatch):
                         lambda spec, k, numerators: [False] * (spec.ambient_n // k))
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1 and out.startswith("FAIL subdivision")
-    assert re.search(r"point \([0-9/, ]+\) is covered by no piece", out)
+    assert re.search(r"point \([0-9/, ]+\) lies in pieces \[\], not in exactly one", out)
 
 
 def test_hypersimplex_off_the_eulerian_number_exits_1(capsys, monkeypatch):

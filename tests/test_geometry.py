@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +28,12 @@ from eulercat.geometry import (
     verify_subdivision,
 )
 from eulercat.numbers import eulerian, fuss_eulerian_catalan
-from oracles import eulerian_catalan, full_window_lattice_count
+from oracles import (
+    enumerate_by_descent_count,
+    eulerian_catalan,
+    full_window_lattice_count,
+    is_dyck_permutation,
+)
 
 
 def naive_lattice_points(spec, t):
@@ -386,6 +392,19 @@ def test_verify_subdivision_passes(k, n):
     assert len(report["piece_volumes"]) == n + 1
 
 
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_every_alcove_is_in_exactly_one_piece(k, n):
+    # the paper's first proof point by point: each alcove of Delta(n+1, N), the w in
+    # S_{N-1} with n descents, lies in exactly one rotated piece, and in piece 0 just
+    # when w is a (k-1)-Dyck permutation
+    N = k * (n + 1)
+    spec = spec_for_Pkn(k, n)
+    for w in enumerate_by_descent_count(N - 1, n):
+        inside = geometry._piece_memberships(spec, k, alcove_point(w, N))
+        assert inside.count(True) == 1, (w, inside)
+        assert inside[0] == is_dyck_permutation(w, k - 1), w
+
+
 @pytest.mark.parametrize("k,n,flipped", [
     (2, 1, ()), (2, 2, ()), (3, 1, ()), (2, 3, ()),
     (2, 3, {1, 3}),  # lower bounds: x_1 + x_2 >= 1 and x_1 + ... + x_6 >= 3
@@ -485,10 +504,9 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
     coords = (Fraction(c, 4) for c in seen[0])
     point = "(" + ", ".join(f"{f.numerator}/{f.denominator}" for f in coords) + ")"
     assert not ok
-    assert report["failures"] == [
-        f"point {point} is interior to piece 0 but also in piece 1",
-        f"point {point} is interior to piece 1 but also in piece 0",
-    ]
+    assert report["failures"] == [f"point {point} lies in pieces [0, 1], not in exactly one"]
+    # the other 119 probes are each inside exactly one piece
+    assert sum(report["interior_hits"]) == geometry.PROBE_SAMPLES - 1
     assert len(seen) == geometry.PROBE_SAMPLES
 
 
@@ -508,8 +526,13 @@ def test_probes_read_the_counted_pkn_spec(monkeypatch):
     assert not ok
     volume_failures = [f for f in report["failures"] if "volume" in f]
     assert volume_failures == ["piece volume 33 != expected 22"]
-    assert any(" is interior to piece " in f and " but also in piece " in f
-               for f in report["failures"])
+    # the loosened pieces overlap but still cover, so each failing probe is in two of them
+    # and counts no hit, and the hits and the probe failures make up every probe
+    probe_failures = report["failures"][1:]
+    assert probe_failures and all(
+        re.fullmatch(r"point \([0-9/, ]+\) lies in pieces \[\d, \d\], not in exactly one", f)
+        for f in probe_failures)
+    assert sum(report["interior_hits"]) + len(probe_failures) == geometry.PROBE_SAMPLES
 
 
 def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):

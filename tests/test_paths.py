@@ -103,16 +103,11 @@ def test_is_dyck_permutation_examples():
     assert is_dyck_permutation((1, 2, 3, 4), 3)
 
 
-def test_exceedance_examples():
-    assert len(exceedance_positions((0, 1))) == 0
-    assert len(exceedance_positions((1, 0))) == 1
-    assert len(exceedance_positions((0, 0, 0, 1, 1, 1))) == 0
-
-
 def test_exceedance_positions_examples():
     assert exceedance_positions((1, 0)) == {0}
     assert exceedance_positions((0, 1)) == frozenset()
     assert exceedance_positions((1, 1, 0, 0)) == {0, 1}
+    assert exceedance_positions((0, 0, 0, 1, 1, 1)) == frozenset()
 
 
 def test_h_step_vector_examples():
