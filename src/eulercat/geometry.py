@@ -16,8 +16,8 @@ any other charges all its dilations' cells before the first DP.  The
 counts at dilations t = 0..d determine d! times the Ehrhart polynomial,
 whose coefficients are integers, by Newton forward differences; its
 leading coefficient is the normalized volume.
-Subdivision probes are exactly uniform alcoves of the hypersimplex, drawn
-as permutations by descent-preserving insertion with Eulerian-number
+Subdivision probes are alcoves of the hypersimplex at evenly spaced ranks,
+unranked as permutations by descent-preserving insertion with Eulerian-number
 weights, each probed at its alcove point: integer numerators over N that
 lie on no cyclic wall, tested strictly against every rotated limit of the
 P_{k,n} spec whose volume is counted, box sides included.  Nothing here
@@ -35,7 +35,6 @@ from .errors import DegenerateDimensionError, InvariantError, charge
 from .numbers import eulerian, fuss_eulerian_catalan
 
 PROBE_SAMPLES = 120
-PROBE_SEED = 271828
 
 
 def _windows(spec: AlcovedSpec) -> list[tuple[int, int]]:
@@ -178,33 +177,34 @@ def _piece_memberships(spec: AlcovedSpec, k: int, numerators: Sequence[int]) -> 
     ]
 
 
-def _sample_alcove_points(
-    ambient_n: int, level_k: int, count: int, rng
-) -> list[tuple[int, ...]]:
+def _alcove_points(ambient_n: int, level_k: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
     """
-    Numerators over N = ambient_n of the alcove points of count exactly uniform
-    alcoves of Delta(level_k, N).  Its alcoves are the w in S_{N-1} with level_k - 1
-    descents, built by inserting 2..N-1 one at a time: r at the end or into a
-    descent keeps the count, at the front or into an ascent raises it, so
-    A(m, r) = (m+1) A(m, r-1) + (r-m) A(m-1, r-1).  Each step's kind is drawn
-    backward in proportion to its term, then r goes to a uniform slot of that
-    kind.  The alcove point x_i = y_i - y_{i-1}, with y_i = N des(w_1..w_i) + w_i,
-    y_0 = 0 and y_N = N level_k, is x_i = (w_i - w_{i-1}) mod N with w_0 = w_N = 0:
-    a cyclic window sums to the difference of two distinct residues mod N, so no
-    wall x_a + ... + x_b = integer passes through it.
+    Numerators over N = ambient_n of the alcove points of the alcoves of
+    Delta(level_k, N) ranked 0..A(level_k - 1, N - 1) - 1, one alcove per rank.  Its
+    alcoves are the w in S_{N-1} with level_k - 1 descents, built by inserting
+    2..N-1 one at a time: r at the end or into a descent keeps the count, at the
+    front or into an ascent raises it, so A(m, r) = (m+1) A(m, r-1) + (r-m) A(m-1, r-1).
+    Split by that sum from r = N-1 down, a rank picks each step's kind and slot.  The
+    alcove point x_i = y_i - y_{i-1}, with y_i = N des(w_1..w_i) + w_i, y_0 = 0 and
+    y_N = N level_k, is x_i = (w_i - w_{i-1}) mod N with w_0 = w_N = 0: a cyclic
+    window sums to the difference of two distinct residues mod N, so no wall
+    x_a + ... + x_b = integer passes through it.
     """
     weight = functools.cache(eulerian)
     points = []
-    for _ in range(count):
-        raised, m = [], level_k - 1
+    for q in ranks:
+        steps, m = [], level_k - 1
         for r in range(ambient_n - 1, 1, -1):
-            raised.append(rng.randrange(weight(m, r)) >= (m + 1) * weight(m, r - 1))
-            m -= raised[-1]
+            keep = (m + 1) * weight(m, r - 1)
+            raises = q >= keep
+            slot, q = divmod(q - raises * keep, weight(m - raises, r - 1))
+            steps.append((raises, slot))
+            m -= raises
         w = [1]
-        for r, raises in zip(range(2, ambient_n), reversed(raised)):
+        for r, (raises, slot) in zip(range(2, ambient_n), reversed(steps)):
             # slot i lies between padded[i] and padded[i + 1]: the front and the ascents raise
             padded = [0, *w, 0]
-            w.insert(rng.choice([i for i in range(r) if (padded[i] < padded[i + 1]) == raises]), r)
+            w.insert([i for i in range(r) if (padded[i] < padded[i + 1]) == raises][slot], r)
         points.append(tuple((b - a) % ambient_n for a, b in zip([0, *w], [*w, 0])))
     return points
 
@@ -213,11 +213,13 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     """
     Check that the n+1 cyclic pieces of P_{k,n} fill the volume of the
     hypersimplex Delta(level_k, N), N and level_k read off the counted spec, and
-    probe uniform alcoves at their alcove points.  Piece i is P_{k,n} with
-    coordinates rotated by k*i, which maps lattice points to lattice points, so
-    one Ehrhart count serves all pieces.  A probe lies on no wall, so it must be
-    inside exactly one piece, where it counts a hit; any other probe is one
-    failure naming the pieces that hold it.  Returns (ok, what was measured).
+    probe min(A, PROBE_SAMPLES) of its A alcoves at evenly spaced ranks.  Piece i
+    is P_{k,n} with coordinates rotated by k*i, which maps lattice points to lattice
+    points, so one Ehrhart count serves all pieces.  A probe lies on no wall, so it
+    must be inside exactly one piece, where it counts a hit; any other probe is one
+    failure naming the pieces that hold it.  Where every alcove is probed, each
+    piece must hit the expected piece volume, since alcoves have unit normalized
+    volume; sampled hits cannot show a lopsided count.  Returns (ok, what was measured).
     """
     failures: list[str] = []
     pkn = spec_for_Pkn(k, n)
@@ -234,16 +236,18 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     if piece != expected_piece:
         failures.append(f"piece volume {piece} != expected {expected_piece}")
 
-    import random
-
+    alcoves = eulerian(level - 1, N - 1)  # not expected_total: a wrong fuss ranks past A
+    ranks = sorted({(2 * i + 1) * alcoves // (2 * PROBE_SAMPLES) for i in range(PROBE_SAMPLES)})
     interior_hits = [0] * level
-    for numerators in _sample_alcove_points(N, level, PROBE_SAMPLES, random.Random(PROBE_SEED)):
+    for numerators in _alcove_points(N, level, ranks):
         pieces = [i for i, inside in enumerate(_piece_memberships(pkn, k, numerators)) if inside]
         if len(pieces) == 1:
             interior_hits[pieces[0]] += 1
         else:
             point = ", ".join(_ratio(c, N) for c in numerators)
             failures.append(f"point ({point}) lies in pieces {pieces}, not in exactly one")
+    if len(ranks) == alcoves and interior_hits != [expected_piece] * level:
+        failures.append(f"alcoves per piece {interior_hits} != expected {expected_piece}")
     return not failures, {
         "piece_volumes": volumes,
         "total_volume": sum(volumes),

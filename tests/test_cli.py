@@ -648,7 +648,7 @@ def test_verify_reports_name_k(capsys):
         ("alcoved-vs-dyck", 3, {"alcoved_count": 13, "dyck_count": 13, "expected": 13}),
         ("subdivision", 2, {
             "piece_volumes": [2, 2], "total_volume": 4, "hypersimplex_volume": 4,
-            "expected_piece_volume": 2, "interior_hits": [59, 61], "failures": []}),
+            "expected_piece_volume": 2, "interior_hits": [2, 2], "failures": []}),
     ]:
         code, out, _ = run_cli(capsys, "verify", target, "--k", str(k), "--n", "1",
                                "--format", "json")
@@ -699,10 +699,13 @@ def test_overlapping_probe_exits_1(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["status"] == "FAIL" and report["interior_hits"] == [0, 0]
-    # one failure line per probe, none mirrored for the other piece
-    assert len(report["failures"]) == geometry.PROBE_SAMPLES
+    # one failure line per alcove of Delta(2, 4), none mirrored for the other piece, and
+    # then the alcove count of each piece
+    *points, count = report["failures"]
+    assert len(points) == 4
     assert all(re.fullmatch(r"point \([0-9/, ]+\) lies in pieces \[0, 1\], not in exactly one", f)
-               for f in report["failures"])
+               for f in points)
+    assert count == "alcoves per piece [0, 0] != expected 2"
 
 
 def test_probe_inside_two_loosened_pieces_exits_1(capsys, monkeypatch):
@@ -717,14 +720,15 @@ def test_probe_inside_two_loosened_pieces_exits_1(capsys, monkeypatch):
                                    (first._replace(upper=first.upper + 1), *rest))
 
     monkeypatch.setattr(geometry, "spec_for_Pkn", loosened)
-    monkeypatch.setattr(geometry, "_sample_alcove_points",
-                        lambda ambient_n, level_k, count, rng: [(2, 2, 5, 2, 2, 5)])
+    monkeypatch.setattr(geometry, "_alcove_points",
+                        lambda ambient_n, level_k, ranks: [(2, 2, 5, 2, 2, 5)])
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--n", "2", "--format", "json")
     assert code == 1
     report = json.loads(out)
     assert report["failures"] == [
         "piece volume 33 != expected 22",
         "point (1/3, 1/3, 5/6, 1/3, 1/3, 5/6) lies in pieces [0, 2], not in exactly one",
+        "alcoves per piece [0, 0, 0] != expected 22",
     ]
     # a probe in two pieces is a hit in neither
     assert report["interior_hits"] == [0, 0, 0]
@@ -739,12 +743,27 @@ def test_uncovered_probe_exits_1(capsys, monkeypatch):
     assert re.search(r"point \([0-9/, ]+\) lies in pieces \[\], not in exactly one", out)
 
 
+def test_probes_all_in_one_piece_exit_1(capsys, monkeypatch):
+    # every probe reads as inside piece 0 alone, so each is in exactly one piece; only
+    # the count of every alcove of Delta(3, 6) shows the other pieces empty
+    monkeypatch.setattr(geometry, "_piece_memberships",
+                        lambda spec, k, numerators: [True] + [False] * (spec.ambient_n // k - 1))
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "2",
+                           "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["interior_hits"] == [66, 0, 0]
+    assert report["failures"] == ["alcoves per piece [66, 0, 0] != expected 22"]
+
+
 def test_hypersimplex_off_the_eulerian_number_exits_1(capsys, monkeypatch):
     real = geometry.fuss_eulerian_catalan
     monkeypatch.setattr(geometry, "fuss_eulerian_catalan", lambda k, n: real(k, n) + 1)
     code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
     assert code == 1 and out.startswith("FAIL subdivision")
     assert "hypersimplex volume 4 != Eulerian number 6" in out
+    # the probes rank the 4 alcoves of Delta(2, 4), not the 6 a wrong fuss implies
+    assert "alcoves per piece [2, 2] != expected 3" in out
 
 
 def test_census_off_its_volume_exits_1(capsys, monkeypatch):
@@ -905,6 +924,6 @@ def test_subcommand_imports_only_what_it_runs(argv, absent):
     assert result.returncode == 0
     loaded = set(result.stderr.split())
     assert "eulercat.numbers" in loaded
-    # only the subdivision probes draw random alcoves
-    assert ("random" in loaded) == (argv[:2] == ("verify", "subdivision"))
+    # the subdivision probes unrank their alcoves and draw no random numbers
+    assert "random" not in loaded
     assert loaded & absent == set()

@@ -1,8 +1,6 @@
 import itertools
 import math
-import random
 import re
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -316,19 +314,23 @@ def alcove_point(w, N):
     return tuple(b - a for a, b in zip(y, y[1:]))
 
 
-def test_probes_are_uniform_on_the_alcoves():
-    # Delta(2, 5): the 11 alcoves of the w in S_4 with one descent, each drawn 2000
-    # times on average
-    draws = geometry._sample_alcove_points(5, 2, 22_000, random.Random(5))
-    hits = Counter(draws)
-    assert set(hits) == {
-        alcove_point(w, 5) for w in itertools.permutations(range(1, 5)) if descents(w) == 1}
-    assert all(1800 <= c <= 2200 for c in hits.values()), hits
+@pytest.mark.parametrize("N,level", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 2), (8, 4), (9, 3)])
+def test_unranking_is_a_bijection_onto_the_alcoves(N, level):
+    # ranks 0..A-1 give the alcove points of the A permutations of S_{N-1} with level-1
+    # descents, each exactly once
+    alcoves = eulerian(level - 1, N - 1)
+    points = geometry._alcove_points(N, level, range(alcoves))
+    assert len(set(points)) == len(points) == alcoves
+    assert set(points) == {
+        alcove_point(w, N) for w in enumerate_by_descent_count(N - 1, level - 1)}
 
 
 def test_probes_lie_on_no_wall_of_the_hypersimplex():
-    points = geometry._sample_alcove_points(24, 6, 120, random.Random(geometry.PROBE_SEED))
-    assert len(points) == 120
+    # the 120 evenly spaced ranks that verify_subdivision probes in Delta(6, 24)
+    alcoves, samples = eulerian(5, 23), geometry.PROBE_SAMPLES
+    points = geometry._alcove_points(
+        24, 6, [(2 * i + 1) * alcoves // (2 * samples) for i in range(samples)])
+    assert len(set(points)) == len(points) == 120
     for numerators in points:
         assert len(numerators) == 24
         assert sum(numerators) == 24 * 6
@@ -380,16 +382,21 @@ def test_ehrhart_at_scale():
     assert verify_subdivision(2, 8)[0]
 
 
+# (4, 1): Delta(2, 8) has exactly PROBE_SAMPLES alcoves
 @pytest.mark.parametrize("k,n", [
-    *((2, n) for n in range(1, 13)), *((3, n) for n in range(1, 6)), (4, 3), (5, 2)])
+    *((2, n) for n in range(1, 13)), *((3, n) for n in range(1, 6)), (4, 1), (4, 3), (5, 2)])
 def test_verify_subdivision_passes(k, n):
     ok, report = verify_subdivision(k, n)
     assert ok, report["failures"]
     assert set(report["piece_volumes"]) == {fuss_eulerian_catalan(k, n)}
-    assert report["total_volume"] == eulerian(n, k * (n + 1) - 1)
+    alcoves = eulerian(n, k * (n + 1) - 1)
+    assert report["total_volume"] == alcoves
     # an alcove point lies on no wall, so each probe is inside exactly one piece
-    assert sum(report["interior_hits"]) == geometry.PROBE_SAMPLES
+    assert sum(report["interior_hits"]) == min(alcoves, geometry.PROBE_SAMPLES)
     assert len(report["piece_volumes"]) == n + 1
+    if alcoves <= geometry.PROBE_SAMPLES:
+        # every alcove is probed, and each piece holds its volume's worth of them
+        assert report["interior_hits"] == report["piece_volumes"]
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -413,9 +420,7 @@ def test_integer_membership_matches_fraction_sums(k, n, flipped):
     # the spec-reading membership against the inequalities of P_{k,n}(T) written out;
     # an alcove point is on no wall, so it is in a piece's closure just when inside it
     N = k * (n + 1)
-    points = geometry._sample_alcove_points(
-        N, n + 1, geometry.PROBE_SAMPLES, random.Random(geometry.PROBE_SEED))
-    assert len(points) == geometry.PROBE_SAMPLES
+    points = geometry._alcove_points(N, n + 1, range(eulerian(n, N - 1)))
     spec = spec_for_Pkn(k, n, flipped)
     for numerators in points:
         point = tuple(Fraction(c, N) for c in numerators)
@@ -441,13 +446,15 @@ def twice_bounded_specs(draw):
     return AlcovedSpec(ambient_n, level_k, tuple(bounds))
 
 
-@given(twice_bounded_specs(), st.integers(1, 9), st.integers(0, 2**32))
-def test_membership_matches_fraction_sums_of_the_raw_bounds(spec, k, seed):
+@given(twice_bounded_specs(), st.integers(1, 9), st.data())
+def test_membership_matches_fraction_sums_of_the_raw_bounds(spec, k, data):
     # the membership tests every limit of spec.limits(), box sides included; those hold
     # strictly at every alcove point, so re-summing every raw bound must give the same
     # answer, also on a spec with no limit inside the box
     N = spec.ambient_n
-    for numerators in geometry._sample_alcove_points(N, spec.level_k, 5, random.Random(seed)):
+    rank = st.integers(0, eulerian(spec.level_k - 1, N - 1) - 1)
+    ranks = data.draw(st.lists(rank, min_size=1, max_size=5))
+    for numerators in geometry._alcove_points(N, spec.level_k, ranks):
         point = [Fraction(c, N) for c in numerators]
         expected = []
         for start in range(0, N, k):
@@ -483,8 +490,7 @@ def test_membership_is_strict_on_a_wall():
 def test_membership_holds_every_piece_with_no_binding_limit(spec):
     # no limit cuts the box, whose sides hold strictly at every alcove point: the point
     # is inside every piece, as the raw bounds say
-    for numerators in geometry._sample_alcove_points(
-            5, 2, geometry.PROBE_SAMPLES, random.Random(geometry.PROBE_SEED)):
+    for numerators in geometry._alcove_points(5, 2, range(eulerian(1, 4))):
         assert geometry._piece_memberships(spec, 1, numerators) == [True] * 5
 
 
@@ -504,10 +510,13 @@ def test_probes_report_a_point_interior_to_two_pieces(monkeypatch):
     coords = (Fraction(c, 4) for c in seen[0])
     point = "(" + ", ".join(f"{f.numerator}/{f.denominator}" for f in coords) + ")"
     assert not ok
-    assert report["failures"] == [f"point {point} lies in pieces [0, 1], not in exactly one"]
-    # the other 119 probes are each inside exactly one piece
-    assert sum(report["interior_hits"]) == geometry.PROBE_SAMPLES - 1
-    assert len(seen) == geometry.PROBE_SAMPLES
+    # Delta(2, 4) has 4 alcoves, all probed: the other 3 are each inside exactly one
+    # piece, which leaves the first probe's piece one alcove short
+    assert len(seen) == 4
+    hits = report["interior_hits"]
+    assert sorted(hits) == [1, 2]
+    assert report["failures"] == [f"point {point} lies in pieces [0, 1], not in exactly one",
+                                  f"alcoves per piece {hits} != expected 2"]
 
 
 def test_probes_read_the_counted_pkn_spec(monkeypatch):
@@ -527,12 +536,14 @@ def test_probes_read_the_counted_pkn_spec(monkeypatch):
     volume_failures = [f for f in report["failures"] if "volume" in f]
     assert volume_failures == ["piece volume 33 != expected 22"]
     # the loosened pieces overlap but still cover, so each failing probe is in two of them
-    # and counts no hit, and the hits and the probe failures make up every probe
-    probe_failures = report["failures"][1:]
+    # and counts no hit, and the hits and the probe failures make up all 66 alcoves
+    probe_failures = report["failures"][1:-1]
     assert probe_failures and all(
         re.fullmatch(r"point \([0-9/, ]+\) lies in pieces \[\d, \d\], not in exactly one", f)
         for f in probe_failures)
-    assert sum(report["interior_hits"]) + len(probe_failures) == geometry.PROBE_SAMPLES
+    assert sum(report["interior_hits"]) + len(probe_failures) == 66
+    assert report["failures"][-1] == \
+        f"alcoves per piece {report['interior_hits']} != expected 22"
 
 
 def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
@@ -551,7 +562,7 @@ def test_verify_subdivision_runs_one_dp_per_polytope(monkeypatch):
     monkeypatch.setattr(geometry, "_windows", building)
     assert verify_subdivision(2, 2)[0]
     # P_{2,2} and Delta(3, 6), each at dilations t = 0..5 of its one band; the probes
-    # draw alcoves and build no band
+    # unrank alcoves and build no band
     pkn, hyper = spec_for_Pkn(2, 2), spec_for_hypersimplex(3, 6)
     assert bands == [pkn, hyper]
     assert len(calls) == 12
