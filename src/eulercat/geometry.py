@@ -16,13 +16,13 @@ any other charges all its dilations' cells before the first DP.  The
 counts at dilations t = 0..d determine d! times the Ehrhart polynomial,
 whose coefficients are integers, by Newton forward differences; its
 leading coefficient is the normalized volume.
-Subdivision probes are alcoves of the hypersimplex at evenly spaced ranks,
-unranked as permutations by descent-preserving insertion with Eulerian-number
-weights, each probed at its alcove point: integer numerators over N that
-lie on no cyclic wall, tested strictly against every rotated limit of the
-P_{k,n} spec whose volume is counted, box sides included.  Nothing here
-consults the permutation-counting route, so the two volume computations
-cross-check each other.
+Subdivision probes are the alcoves of the hypersimplex at ranks i * stride mod A,
+the stride near A/phi and coprime to the alcove count A, unranked as permutations
+by descent-preserving insertion with Eulerian-number weights, each probed at its
+alcove point: integer numerators over N that lie on no cyclic wall, tested
+strictly against every rotated limit of the P_{k,n} spec whose volume is
+counted, box sides included.  Nothing here consults the permutation-counting
+route, so the two volume computations cross-check each other.
 """
 import functools
 import itertools
@@ -213,7 +213,7 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     """
     Check that the n+1 cyclic pieces of P_{k,n} fill the volume of the
     hypersimplex Delta(level_k, N), N and level_k read off the counted spec, and
-    probe min(A, PROBE_SAMPLES) of its A alcoves at evenly spaced ranks.  Piece i
+    probe min(A, PROBE_SAMPLES) of its A alcoves, by a stride coprime to A.  Piece i
     is P_{k,n} with coordinates rotated by k*i, which maps lattice points to lattice
     points, so one Ehrhart count serves all pieces.  A probe lies on no wall, so it
     must be inside exactly one piece, where it counts a hit; any other probe is one
@@ -225,19 +225,20 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     pkn = spec_for_Pkn(k, n)
     N, level = pkn.ambient_n, pkn.level_k
     piece = ehrhart_volume(pkn)["normalized_volume"]
-    volumes = [piece] * level
-
     hyper = ehrhart_volume(spec_for_hypersimplex(level, N))["normalized_volume"]
-    expected_piece = fuss_eulerian_catalan(k, n)  # A(n, N-1)/(n+1), checked exact
-    expected_total = level * expected_piece
-    # these two checks imply that the pieces sum to the hypersimplex
-    if hyper != expected_total:
-        failures.append(f"hypersimplex volume {hyper} != Eulerian number {expected_total}")
+    alcoves = eulerian(level - 1, N - 1)  # A, the hypersimplex's normalized volume
+    expected_piece = fuss_eulerian_catalan(k, n)  # A/(n+1), checked exact
+    # each weighs a DP against the alternating sum; both imply the pieces sum to A
+    if hyper != alcoves:
+        failures.append(f"hypersimplex volume {hyper} != Eulerian number {alcoves}")
     if piece != expected_piece:
         failures.append(f"piece volume {piece} != expected {expected_piece}")
 
-    alcoves = eulerian(level - 1, N - 1)  # not expected_total: a wrong fuss ranks past A
-    ranks = sorted({(2 * i + 1) * alcoves // (2 * PROBE_SAMPLES) for i in range(PROBE_SAMPLES)})
+    # A/phi in integers, as A * 0.618 overflows a float past 10**308
+    stride = (math.isqrt(5 * alcoves * alcoves) - alcoves) // 2
+    while math.gcd(stride, alcoves) != 1:
+        stride += 1
+    ranks = [i * stride % alcoves for i in range(min(alcoves, PROBE_SAMPLES))]
     interior_hits = [0] * level
     for numerators in _alcove_points(N, level, ranks):
         pieces = [i for i, inside in enumerate(_piece_memberships(pkn, k, numerators)) if inside]
@@ -249,8 +250,8 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     if len(ranks) == alcoves and interior_hits != [expected_piece] * level:
         failures.append(f"alcoves per piece {interior_hits} != expected {expected_piece}")
     return not failures, {
-        "piece_volumes": volumes,
-        "total_volume": sum(volumes),
+        "piece_volumes": [piece] * level,
+        "total_volume": piece * level,
         "hypersimplex_volume": hyper,
         "expected_piece_volume": expected_piece,
         "interior_hits": interior_hits,

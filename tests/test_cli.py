@@ -364,7 +364,12 @@ def plant_wrong_walk(monkeypatch):
 def plant_wrong_alternating_sum(monkeypatch):
     """Every Eulerian number of the closed form doubled."""
     real = numbers.eulerian
-    monkeypatch.setattr(numbers, "eulerian", lambda m, n: 2 * real(m, n))
+
+    def doubled(m, n):
+        return 2 * real(m, n)
+
+    monkeypatch.setattr(numbers, "eulerian", doubled)
+    monkeypatch.setattr(geometry, "eulerian", doubled)  # bound at import
 
 
 def plant_wrong_lattice_dp(monkeypatch):
@@ -757,13 +762,32 @@ def test_probes_all_in_one_piece_exit_1(capsys, monkeypatch):
 
 
 def test_hypersimplex_off_the_eulerian_number_exits_1(capsys, monkeypatch):
+    # the volume of Delta(2, 4) one too high; P_{2,1}, which has bounds, is counted true
+    real = geometry.ehrhart_volume
+
+    def inflated(spec):
+        record = real(spec)
+        if not spec.bounds:
+            record["normalized_volume"] += 1
+        return record
+
+    monkeypatch.setattr(geometry, "ehrhart_volume", inflated)
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1",
+                           "--format", "json")
+    assert code == 1
+    assert json.loads(out)["failures"] == ["hypersimplex volume 5 != Eulerian number 4"]
+
+
+def test_wrong_fuss_fails_only_the_checks_that_read_it(capsys, monkeypatch):
+    # the hypersimplex is judged by its alcove count, and the probes rank the 4 alcoves
+    # of Delta(2, 4), not the 6 a wrong fuss implies
     real = geometry.fuss_eulerian_catalan
     monkeypatch.setattr(geometry, "fuss_eulerian_catalan", lambda k, n: real(k, n) + 1)
-    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1")
-    assert code == 1 and out.startswith("FAIL subdivision")
-    assert "hypersimplex volume 4 != Eulerian number 6" in out
-    # the probes rank the 4 alcoves of Delta(2, 4), not the 6 a wrong fuss implies
-    assert "alcoves per piece [2, 2] != expected 3" in out
+    code, out, _ = run_cli(capsys, "verify", "subdivision", "--k", "2", "--n", "1",
+                           "--format", "json")
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "piece volume 2 != expected 3", "alcoves per piece [2, 2] != expected 3"]
 
 
 def test_census_off_its_volume_exits_1(capsys, monkeypatch):

@@ -325,11 +325,17 @@ def test_unranking_is_a_bijection_onto_the_alcoves(N, level):
         alcove_point(w, N) for w in enumerate_by_descent_count(N - 1, level - 1)}
 
 
-def test_probes_lie_on_no_wall_of_the_hypersimplex():
-    # the 120 evenly spaced ranks that verify_subdivision probes in Delta(6, 24)
-    alcoves, samples = eulerian(5, 23), geometry.PROBE_SAMPLES
-    points = geometry._alcove_points(
-        24, 6, [(2 * i + 1) * alcoves // (2 * samples) for i in range(samples)])
+def test_probes_lie_on_no_wall_of_the_hypersimplex(monkeypatch):
+    # the 120 alcove points that verify_subdivision(4, 5) probes in Delta(6, 24)
+    real, points = geometry._alcove_points, []
+
+    def recorded(ambient_n, level_k, ranks):
+        batch = real(ambient_n, level_k, ranks)
+        points.extend(batch)
+        return batch
+
+    monkeypatch.setattr(geometry, "_alcove_points", recorded)
+    assert verify_subdivision(4, 5)[0]
     assert len(set(points)) == len(points) == 120
     for numerators in points:
         assert len(numerators) == 24
@@ -383,8 +389,10 @@ def test_ehrhart_at_scale():
 
 
 # (4, 1): Delta(2, 8) has exactly PROBE_SAMPLES alcoves
+# (2, 9), (2, 11), (2, 14), (2, 17): ranks spaced evenly over the alcoves leave a piece unprobed
 @pytest.mark.parametrize("k,n", [
-    *((2, n) for n in range(1, 13)), *((3, n) for n in range(1, 6)), (4, 1), (4, 3), (5, 2)])
+    *((2, n) for n in range(1, 13)), (2, 14), (2, 17), *((3, n) for n in range(1, 6)), (4, 1),
+    (4, 3), (5, 2)])
 def test_verify_subdivision_passes(k, n):
     ok, report = verify_subdivision(k, n)
     assert ok, report["failures"]
@@ -393,6 +401,8 @@ def test_verify_subdivision_passes(k, n):
     assert report["total_volume"] == alcoves
     # an alcove point lies on no wall, so each probe is inside exactly one piece
     assert sum(report["interior_hits"]) == min(alcoves, geometry.PROBE_SAMPLES)
+    # and every piece gets a probe
+    assert 0 not in report["interior_hits"]
     assert len(report["piece_volumes"]) == n + 1
     if alcoves <= geometry.PROBE_SAMPLES:
         # every alcove is probed, and each piece holds its volume's worth of them
@@ -587,11 +597,3 @@ def test_flipped_volumes_at_k_3_sum_to_fuss_at_every_size(n):
     for size in range(n + 1):
         total = sum(v for T, v in volumes.items() if len(T) == size)
         assert total == fuss_eulerian_catalan(3, n)
-
-
-def test_ehrhart_record_json_shape():
-    record = ehrhart_volume(spec_for_Pkn(2, 1))
-    assert record["normalized_volume"] == 2
-    assert record["dimension"] == 3
-    assert len(record["evaluations"]) == 4
-    assert all("/" in c for c in record["coefficients"])
