@@ -12,7 +12,7 @@ holds exactly t * [lo_i, hi_i]: a dilation costs the sum of its window
 widths, each step one difference of the previous row's prefix sums.  A
 crossed window, lo_i > hi_i, shows an empty polytope and an interior
 window of one sum a flat one, both refused before any dilation is priced;
-any other charges all its dilations' cells before the first DP.  The
+all the volumes of a command are charged at once, before the first DP.  The
 counts at dilations t = 0..d determine d! times the Ehrhart polynomial,
 whose coefficients are integers, by Newton forward differences; its
 leading coefficient is the normalized volume.
@@ -63,7 +63,7 @@ def count_dilated_lattice_points(band: Sequence[tuple[int, int]], t: int) -> int
     Number of integer points of the t-fold dilate of the polytope whose band
     _windows built: 0 <= x_i <= t, sum x_i = t * level_k, prefix sums within
     t-scaled bounds.  A crossed band counts 0 at t >= 1 and runs no DP; any other
-    takes one coordinate x_i in 0..t per step.  Charges nothing: ehrhart_volume does.
+    takes one coordinate x_i in 0..t per step.  Charges nothing: ehrhart_volumes does.
     """
     if t < 0:
         raise ValueError("dilation factor must be >= 0")
@@ -115,26 +115,35 @@ def _ratio(numerator: int, denominator: int) -> str:
     return f"{numerator // g}/{denominator // g}"
 
 
-def ehrhart_volume(spec: AlcovedSpec) -> dict:
+def ehrhart_volumes(specs: Sequence[AlcovedSpec]) -> list[dict]:
+    """ehrhart_volume of each spec, with every band built and checked, and then every dilation
+    charged, t at len(band) + t * W cells for W the band's width, before the first DP."""
+    bands, cells = [_windows(spec) for spec in specs], 0
+    for band in bands:
+        # steps 0 <= S_i - S_{i-1} <= 1 and integer bounds are totally unimodular, so the
+        # band holds the vertices' prefix sums, and an implicit equality fixes some interior S_i
+        d = len(band) - 2
+        if any(lo > hi for lo, hi in band):
+            raise DegenerateDimensionError("empty polytope: h(1) = 0")
+        if any(lo == hi for lo, hi in band[1:-1]):
+            raise DegenerateDimensionError(
+                f"leading Ehrhart coefficient vanishes: polytope has dimension < {d}")
+        cells += (d + 1) * len(band) + sum(hi - lo for lo, hi in band) * d * (d + 1) // 2
+    charge(cells)
+    return [ehrhart_volume(spec, band) for spec, band in zip(specs, bands)]
+
+
+def ehrhart_volume(spec: AlcovedSpec, band: Sequence[tuple[int, int]] | None = None) -> dict:
     """
     Evaluate the lattice-point count at t = 0..d, interpolate d! times the
     Ehrhart polynomial and check it at t = -1.  Returns the dimension d, the
     evaluations, the polynomial's coefficients (ascending, as "num/den") and
-    its leading coefficient times d!, the normalized volume.  An empty or flat
-    band is refused unpriced; otherwise dilation t fills len(band) + t * W cells,
-    W the band's total width, all charged before the first DP.
+    its leading coefficient times d!, the normalized volume.  The band comes
+    checked and paid for from ehrhart_volumes, which a lone spec goes through.
     """
+    if band is None:
+        return ehrhart_volumes([spec])[0]
     d = spec.ambient_n - 1
-    band = _windows(spec)
-    # steps 0 <= S_i - S_{i-1} <= 1 and integer bounds are totally unimodular, so the band
-    # holds the vertices' prefix sums, and an implicit equality fixes some interior S_i
-    if any(lo > hi for lo, hi in band):
-        raise DegenerateDimensionError("empty polytope: h(1) = 0")
-    if any(lo == hi for lo, hi in band[1:-1]):
-        raise DegenerateDimensionError(
-            f"leading Ehrhart coefficient vanishes: polytope has dimension < {d}"
-        )
-    charge((d + 1) * len(band) + sum(hi - lo for lo, hi in band) * d * (d + 1) // 2)
     evaluations = [count_dilated_lattice_points(band, t) for t in range(d + 1)]
     coeffs = interpolate_at_integers(evaluations)
     # Newton's form meets h(0..d) by construction, so only a value known exactly
@@ -224,8 +233,8 @@ def verify_subdivision(k: int, n: int) -> tuple[bool, dict]:
     failures: list[str] = []
     pkn = spec_for_Pkn(k, n)
     N, level = pkn.ambient_n, pkn.level_k
-    piece = ehrhart_volume(pkn)["normalized_volume"]
-    hyper = ehrhart_volume(spec_for_hypersimplex(level, N))["normalized_volume"]
+    piece, hyper = (record["normalized_volume"]
+                    for record in ehrhart_volumes([pkn, spec_for_hypersimplex(level, N)]))
     alcoves = eulerian(level - 1, N - 1)  # A, the hypersimplex's normalized volume
     expected_piece = fuss_eulerian_catalan(k, n)  # A/(n+1), checked exact
     # each weighs a DP against the alternating sum; both imply the pieces sum to A

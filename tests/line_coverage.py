@@ -33,7 +33,7 @@ ALLOWED = {
         "only a reader that closes stdout mid-write reaches it; test_cli runs that in a subprocess",
     ("cli.main", "return EXIT_BROKEN_PIPE"):
         "only a reader that closes stdout mid-write reaches it; test_cli runs that in a subprocess",
-    ("cli", "sys.exit(main())"):
+    ("cli", "run()"):
         "runs only as `python -m eulercat.cli`, which test_cli runs in a subprocess",
 }
 
